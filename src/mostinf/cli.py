@@ -5,7 +5,7 @@ Each command performs one logical check and writes exactly one run record
 ``name,value``).  Commands with a natural table (kernel convergence,
 polarization traces, small full scans) emit that table under ``--format
 csv``.  Exit code 0 on success, 1 when a check reports pass=false, 2 on
-usage errors.
+usage errors, including input a handler rejects (one line on stderr).
 """
 
 from __future__ import annotations
@@ -618,7 +618,14 @@ def main(argv=None) -> int:
     if hasattr(args, "psi_name"):
         args.psi = _psi_from_name(args.psi_name)
     start = time.monotonic()
-    record, table = args.handler(args)
+    try:
+        record, table = args.handler(args)
+    except (ValueError, OSError) as exc:
+        # Input the handler rejects (out-of-range sizes, unreadable files, a
+        # stale checkpoint) is a usage error; a numerical guard's
+        # AssertionError still propagates with exit code 1.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     record.wall_time_ms = int(1000 * (time.monotonic() - start))
     if table is not None and args.format == "csv":
         _write(table, args.out)

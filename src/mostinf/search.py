@@ -1,15 +1,26 @@
 """Exhaustive and structured search over Boolean functions.
 
-The full scan covers every truth table up to n = 4 (65536 functions) with a
-batched transform, so one (n, alpha) pair runs in milliseconds.  n = 5 is an
-optional long-running chunked scan with a resumable checkpoint; it halves the
-raw 2^32 space through output complementation and reports its own method.
+Every batched mutual-information call goes through one count-vector kernel
+(``_batched_mi``, n <= 5).  For a 0/1 table the smoothed value at y is
+T_rho f(y) = sum_d w_d c_d(y), where c_d(y) counts the ones at Hamming
+distance d from y and w_d = alpha^d (1 - alpha)^(n - d).  The count vector
+(c_0..c_n) takes at most 17,424 values (n = 5), so one exact float32 matmul
+gives each y a mixed-radix code, one gather reads the binary entropy of
+that code's smoothed value from a cached table, and one row mean finishes
+the Jensen gap.  The full scan covers every truth table up to n = 4 (65536
+functions) in milliseconds.  n = 5 is an optional chunked scan with an
+atomically replaced, resumable checkpoint; it halves the raw 2^32 space
+through output complementation and reports its own method.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import os
+import sys
+import time
 from dataclasses import dataclass, field
 from itertools import permutations
 from pathlib import Path
@@ -20,8 +31,7 @@ from .entropy import binary_entropy
 from .cube import (
     BooleanFunction,
     SymmetricProfile,
-    _binom_pmf,
-    _hadamard_inplace,
+    _distance_weights,
     _log_binom,
     _popcount,
     and_mi_exact,
@@ -68,16 +78,54 @@ def _entropy_rows(p: np.ndarray) -> np.ndarray:
     return out
 
 
+MAX_KERNEL_N = 5
+
+
+@functools.lru_cache(maxsize=8)
+def _count_kernel(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Code matrix R and entropy table H of the count-vector kernel.
+
+    ``tables @ R`` gives, at each y, the mixed-radix code of the count
+    vector (c_0..c_n), c_d = number of ones at Hamming distance d from y;
+    ``H[code]`` is the binary entropy of T_rho f(y) = sum_d w_d c_d.  H is
+    built from the smaller of the two smoothed masses, so a table and its
+    complement read bit-identical entropies and a constant table reads 0.
+    """
+    sizes = np.array([math.comb(n, d) for d in range(n + 1)])
+    radix = np.concatenate(([1], np.cumprod(sizes + 1)[:-1]))
+    j = np.arange(1 << n)
+    # Codes stay below 2^24, so every float32 partial sum is exact.
+    R = radix[_popcount(j[:, None] ^ j[None, :])].astype(np.float32)
+    counts = np.arange(int(np.prod(sizes + 1)))[:, None] // radix % (sizes + 1)
+    w = _distance_weights(n, alpha)
+    p = np.zeros(counts.shape[0])
+    q = np.zeros(counts.shape[0])
+    # One fixed summation order: p of a count vector and q of its
+    # complement are then the same float.
+    for d in range(n + 1):
+        p += w[d] * counts[:, d]
+        q += w[d] * (sizes[d] - counts[:, d])
+    H = _entropy_rows(np.minimum(p, q))
+    R.flags.writeable = False
+    H.flags.writeable = False
+    return R, H
+
+
 def _batched_mi(tables: np.ndarray, alpha: float) -> np.ndarray:
-    """Mutual information of many 0/1 tables at once; rows are tables."""
-    size = tables.shape[-1]
-    n = int(round(math.log2(size)))
-    rho = 1.0 - 2.0 * alpha
-    coeffs = _hadamard_inplace(tables) / size
-    coeffs *= rho ** _popcount(np.arange(size))
-    smoothed = _hadamard_inplace(coeffs)
+    """Mutual information of many 0/1 tables at once; rows are tables.
+
+    One float32 matmul turns every row into count-vector codes, one gather
+    reads their smoothed entropies, and one row mean finishes the Jensen
+    gap h(E f) - E_y h(T_rho f(y)).
+    """
+    n = int(tables.shape[-1]).bit_length() - 1
+    if tables.shape[-1] != 1 << n or not 1 <= n <= MAX_KERNEL_N:
+        raise ValueError(f"count-vector kernel needs 2^n columns with "
+                         f"1 <= n <= {MAX_KERNEL_N}, got {tables.shape[-1]}")
+    R, H = _count_kernel(n, float(alpha))
+    codes = (tables.astype(np.float32) @ R).astype(np.int32)
     mu = np.mean(tables, axis=-1)
-    return _entropy_rows(mu) - np.mean(_entropy_rows(smoothed), axis=-1)
+    return _entropy_rows(mu) - np.mean(H[codes], axis=-1)
 
 
 def _dictator_table_ints(n: int) -> set[int]:
@@ -93,7 +141,10 @@ def _dictator_table_ints(n: int) -> set[int]:
 
 
 def _bits_matrix(table_ints: np.ndarray, size: int) -> np.ndarray:
-    return ((table_ints[:, None] >> np.arange(size)[None, :]) & 1).astype(float)
+    """0/1 rows of the tables, table bit j in column j (uint8)."""
+    raw = np.ascontiguousarray(table_ints, dtype="<i8").view(np.uint8)
+    return np.unpackbits(raw.reshape(-1, 8), axis=1, count=size,
+                         bitorder="little")
 
 
 def exhaustive_verify(n: int, alpha: float) -> SearchReport:
@@ -246,6 +297,44 @@ def lex_failure_scan(k: int, n: int, alpha: float) -> LexFailureRecord:
     )
 
 
+_CHECKPOINT_KEYS = {"n", "alpha", "next", "max_mi", "witnesses", "scanned"}
+PROGRESS_EVERY_S = 10.0
+
+
+def _load_checkpoint(path: Path, n: int, alpha: float) -> dict:
+    """Scan state from a checkpoint; any unusable file is one ValueError."""
+    try:
+        state = json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"checkpoint {path} is unreadable ({exc}); "
+                         "delete it to restart the scan") from None
+    if not isinstance(state, dict) or not _CHECKPOINT_KEYS <= state.keys():
+        raise ValueError(f"checkpoint {path} lacks the scan fields "
+                         f"{sorted(_CHECKPOINT_KEYS)}")
+    if state["n"] != n or state["alpha"] != alpha:
+        raise ValueError(f"checkpoint {path} was written for n={state['n']}, "
+                         f"alpha={state['alpha']}, not n={n}, alpha={alpha}")
+    return state
+
+
+def _save_checkpoint(path: Path, state: dict) -> None:
+    """Write the state beside the checkpoint, then rename it into place, so
+    a scan killed mid-write leaves the previous checkpoint intact."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(state))
+    os.replace(tmp, path)
+
+
+def _report_progress(done: int, first: int, total: int, chunk_size: int,
+                     elapsed: float) -> None:
+    """One stderr line: chunks done, raw tables per second, time left."""
+    rate = 2 * (done - first) / elapsed if elapsed > 0.0 else 0.0
+    eta = f"{2 * (total - done) / rate:.0f} s" if rate > 0.0 else "unknown"
+    chunks = f"{math.ceil(done / chunk_size)}/{math.ceil(total / chunk_size)}"
+    print(f"scan_n5: {chunks} chunks, {rate:.4g} tables/s, ETA {eta}",
+          file=sys.stderr, flush=True)
+
+
 def scan_n5(alpha: float, checkpoint: str | None = None,
             chunk_size: int = 1 << 16,
             max_chunks: int | None = None) -> SearchReport:
@@ -255,21 +344,23 @@ def scan_n5(alpha: float, checkpoint: str | None = None,
     integers (entry 0 equal to 0) are enumerated: 2^31 representatives of
     the 2^32 raw tables.  Progress is checkpointed as plain JSON keyed by a
     table-index watermark, so an interrupted scan resumes where it left
-    off.  This is a brute-force certification of the n = 5 bound; no claim
-    is made about how larger published verifications were organized.
+    off; the file is replaced atomically after every chunk.  Progress lines
+    (chunks done, tables per second, ETA) go to stderr at most every
+    ``PROGRESS_EVERY_S`` seconds, plus one when the call ends.  This is a
+    brute-force certification of the n = 5 bound; no claim is made about
+    how larger published verifications were organized.
     """
     alpha = float(alpha)
     n, size = 5, 32
     total_reps = 1 << (size - 1)
-    state = {"alpha": alpha, "next": 0, "max_mi": -1.0,
+    state = {"n": n, "alpha": alpha, "next": 0, "max_mi": -1.0,
              "witnesses": [], "scanned": 0}
     path = Path(checkpoint) if checkpoint else None
     if path is not None and path.exists():
-        loaded = json.loads(path.read_text())
-        if loaded.get("alpha") != alpha:
-            raise ValueError("checkpoint was written for a different alpha")
-        state = loaded
+        state = _load_checkpoint(path, n, alpha)
     chunks_done = 0
+    first = state["next"]
+    start = last_report = time.monotonic()
     while state["next"] < total_reps:
         if max_chunks is not None and chunks_done >= max_chunks:
             break
@@ -290,7 +381,15 @@ def scan_n5(alpha: float, checkpoint: str | None = None,
         state["scanned"] = 2 * int(hi)
         chunks_done += 1
         if path is not None:
-            path.write_text(json.dumps(state))
+            _save_checkpoint(path, state)
+        now = time.monotonic()
+        if now - last_report >= PROGRESS_EVERY_S:
+            _report_progress(state["next"], first, total_reps, chunk_size,
+                             now - start)
+            last_report = now
+    if chunks_done:
+        _report_progress(state["next"], first, total_reps, chunk_size,
+                         time.monotonic() - start)
     finished = state["next"] >= total_reps
     full_mask = (1 << size) - 1
     witnesses = sorted(

@@ -257,6 +257,35 @@ class TestDispatchErrors:
             main(["boolean", "verify", "--n", "2", "--alpha", "0.7"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["boolean", "verify", "--n", "7", "--alpha", "0.1"],
+        ["gauss", "halfspace-vs", "--measure", "1.5", "--rho", "0.5"],
+        ["boolean", "mi", "--tt", "no-such-table.tt", "--alpha", "0.2"],
+    ])
+    def test_bad_input_exit_2_one_line(self, capsys, tmp_path, monkeypatch,
+                                       argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("mostinf: error: ")
+        assert len(err.splitlines()) == 1
+
+    def test_truncated_checkpoint_exit_2(self, capsys, tmp_path):
+        ckpt = tmp_path / "scan.json"
+        ckpt.write_text('{"n": 5, "alpha": 0.3, "ne')
+        code = main(["boolean", "verify", "--n", "5", "--alpha", "0.3",
+                     "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert str(ckpt) in capsys.readouterr().err
+
+    def test_numerical_guard_is_not_a_usage_error(self, monkeypatch):
+        def guard(n, alpha):
+            raise AssertionError("smoothed table escaped the convex hull")
+        monkeypatch.setattr("mostinf.search.exhaustive_verify", guard)
+        with pytest.raises(AssertionError):
+            main(["boolean", "verify", "--n", "3", "--alpha", "0.1"])
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "record.json"
         code = main(["boolean", "verify", "--n", "2", "--alpha", "0.3",

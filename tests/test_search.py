@@ -1,10 +1,15 @@
 """Exhaustive scans, canonical forms, and the ball-versus-AND comparison."""
 
+import json
+
 import numpy as np
 import pytest
 
+from mostinf import search
 from mostinf.cube import (
     BooleanFunction,
+    _hadamard_inplace,
+    _popcount,
     and_k,
     dictator,
     lex,
@@ -12,6 +17,8 @@ from mostinf.cube import (
 )
 from mostinf.entropy import binary_entropy, gaussian_isoperimetric, osw_bound
 from mostinf.search import (
+    _batched_mi,
+    _bits_matrix,
     ball_profile_for_mean,
     canonical_form,
     exhaustive_verify,
@@ -19,6 +26,84 @@ from mostinf.search import (
     lex_failure_scan,
     scan_n5,
 )
+
+
+def fwht_batched_mi(tables, alpha):
+    """Reference route: smooth every row by two Walsh-Hadamard transforms."""
+    size = tables.shape[-1]
+    coeffs = _hadamard_inplace(tables.astype(float)) / size
+    coeffs *= (1.0 - 2.0 * alpha) ** _popcount(np.arange(size))
+    smoothed = np.clip(_hadamard_inplace(coeffs), 0.0, 1.0)
+    return (binary_entropy(tables.mean(axis=-1))
+            - binary_entropy(smoothed).mean(axis=-1))
+
+
+def all_tables(n):
+    size = 1 << n
+    return _bits_matrix(np.arange(1 << size, dtype=np.int64), size)
+
+
+class TestCountVectorKernel:
+    ALPHAS = [0.0, 0.03, 0.1, 0.17, 0.24, 0.3, 0.37, 0.45, 0.5]
+
+    def test_bits_matrix_layout(self):
+        ints = np.array([0, 1, 6, (1 << 31) | 5], dtype=np.int64)
+        bits = _bits_matrix(ints, 32)
+        assert bits.dtype == np.uint8
+        expect = (ints[:, None] >> np.arange(32)[None, :]) & 1
+        assert np.array_equal(bits, expect)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_fwht_reference_on_every_table(self, n):
+        tables = all_tables(n)
+        for alpha in self.ALPHAS:
+            got = _batched_mi(tables, alpha)
+            want = fwht_batched_mi(tables, alpha)
+            assert np.max(np.abs(got - want)) <= 1e-14, alpha
+
+    def test_n5_chunk_matches_direct(self):
+        rng = np.random.default_rng(11)
+        ints = rng.integers(0, 1 << 32, 300, dtype=np.int64)
+        tables = _bits_matrix(ints, 32)
+        for alpha in (0.1, 0.24, 0.41):
+            mi = _batched_mi(tables, alpha)
+            for row, value in zip(tables, mi):
+                direct = mutual_information_direct(BooleanFunction(5, row),
+                                                   alpha)
+                assert abs(value - direct) <= 1e-14
+
+    def test_complement_pairs_bit_identical(self):
+        tables = all_tables(4)
+        rng = np.random.default_rng(12)
+        rows5 = _bits_matrix(rng.integers(0, 1 << 32, 4096, dtype=np.int64),
+                             32)
+        for alpha in self.ALPHAS:
+            mi = _batched_mi(tables, alpha)
+            # Row t and row 2^16 - 1 - t are complements.
+            assert np.array_equal(mi, mi[::-1]), alpha
+            assert np.array_equal(_batched_mi(rows5, alpha),
+                                  _batched_mi(1 - rows5, alpha)), alpha
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_constant_tables_exactly_zero(self, n):
+        const = np.array([[0] * (1 << n), [1] * (1 << n)], dtype=np.uint8)
+        for alpha in self.ALPHAS:
+            assert np.all(_batched_mi(const, alpha) == 0.0)
+
+    def test_rejects_more_than_five_bits(self):
+        with pytest.raises(ValueError):
+            _batched_mi(np.zeros((2, 64), dtype=np.uint8), 0.1)
+        with pytest.raises(ValueError):
+            _batched_mi(np.zeros((2, 12), dtype=np.uint8), 0.1)
+
+    def test_strong_data_processing_bound(self):
+        # I(f(X); Y) <= (1 - 2 alpha)^2 h(E f) for every Boolean f.
+        tables = all_tables(4)
+        h_mean = binary_entropy(tables.mean(axis=-1))
+        for alpha in (0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5):
+            mi = _batched_mi(tables, alpha)
+            slack = (1.0 - 2.0 * alpha) ** 2 * h_mean - mi
+            assert slack.min() >= -1e-14, alpha
 
 
 class TestExhaustiveVerify:
@@ -202,6 +287,53 @@ class TestScanN5:
         scan_n5(0.3, checkpoint=str(ckpt), chunk_size=1024, max_chunks=1)
         with pytest.raises(ValueError):
             scan_n5(0.2, checkpoint=str(ckpt), chunk_size=1024, max_chunks=1)
+
+    def test_checkpoint_records_n_and_rejects_other_n(self, tmp_path):
+        ckpt = tmp_path / "scan.json"
+        scan_n5(0.3, checkpoint=str(ckpt), chunk_size=1024, max_chunks=1)
+        state = json.loads(ckpt.read_text())
+        assert state["n"] == 5 and state["alpha"] == 0.3
+        state["n"] = 4
+        ckpt.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match="n=4"):
+            scan_n5(0.3, checkpoint=str(ckpt), chunk_size=1024, max_chunks=1)
+
+    def test_stale_temp_file_does_not_change_resume(self, tmp_path):
+        ckpt = tmp_path / "scan.json"
+        scan_n5(0.3, checkpoint=str(ckpt), chunk_size=2048, max_chunks=2)
+        stale = tmp_path / "scan.json.tmp"
+        stale.write_text('{"n": 5, "alpha": 0.3, "next": 99')
+        resumed = scan_n5(0.3, checkpoint=str(ckpt), chunk_size=2048,
+                          max_chunks=1)
+        fresh = scan_n5(0.3, chunk_size=2048 * 3, max_chunks=1)
+        assert resumed.functions_scanned == fresh.functions_scanned
+        assert resumed.max_mi == fresh.max_mi
+        assert resumed.argmax == fresh.argmax
+        assert not stale.exists()
+
+    def test_truncated_checkpoint_is_one_line_value_error(self, tmp_path):
+        ckpt = tmp_path / "scan.json"
+        scan_n5(0.3, checkpoint=str(ckpt), chunk_size=1024, max_chunks=1)
+        text = ckpt.read_text()
+        ckpt.write_text(text[: len(text) // 2])
+        with pytest.raises(ValueError) as exc:
+            scan_n5(0.3, checkpoint=str(ckpt), chunk_size=1024, max_chunks=1)
+        assert type(exc.value) is ValueError
+        assert str(ckpt) in str(exc.value)
+        assert "\n" not in str(exc.value)
+
+    def test_progress_goes_to_stderr(self, capsys, monkeypatch):
+        scan_n5(0.3, chunk_size=1024, max_chunks=3)
+        out, err = capsys.readouterr()
+        assert out == ""
+        # Well under the reporting interval: only the closing line.
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("scan_n5: 3/2097152 chunks, ")
+        assert "tables/s, ETA" in lines[0]
+        monkeypatch.setattr(search, "PROGRESS_EVERY_S", 0.0)
+        scan_n5(0.3, chunk_size=1024, max_chunks=3)
+        assert len(capsys.readouterr().err.splitlines()) == 4
 
     def test_early_chunks_contain_lex_values(self):
         # The first representatives include the all-zeros and low-index
