@@ -72,6 +72,10 @@ class RunRecord:
     def add(self, name: str, value):
         self.results.append({"name": name, "value": value})
 
+    def add_all(self, metrics: dict):
+        for name, value in metrics.items():
+            self.add(name, value)
+
 
 def _format_float(v: float) -> str:
     if not math.isfinite(v):
@@ -117,12 +121,7 @@ def emit(record: RunRecord, fmt: str = "json") -> bytes:
         lines = ["name,value"]
         for item in record.results:
             v = item["value"]
-            if isinstance(v, (bool, np.bool_)):
-                text = "true" if v else "false"
-            elif isinstance(v, (np.floating, float)):
-                text = _format_float(float(v))
-            else:
-                text = str(v)
+            text = v if isinstance(v, str) else _json_render(v)
             lines.append(f"{item['name']},{text}")
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
@@ -193,11 +192,12 @@ def _cmd_boolean_verify(args):
 
 
 def _cmd_boolean_mi(args):
-    text = open(args.tt).read()
+    with open(args.tt) as fh:
+        text = fh.read()
     params = {"tt": args.tt, "alpha": args.alpha}
     rec = RunRecord("boolean mi", params, args.seed)
     if args.multi:
-        f = _parse_multi_table(text, args.multi)
+        f = cube.parse_multi_table(text, args.multi)
         rec.params["multi"] = args.multi
         rec.add("mi", cube.mutual_information_direct(f, args.alpha))
         rec.add("per_bit", rec.results[-1]["value"] / args.multi)
@@ -213,31 +213,21 @@ def _cmd_boolean_mi(args):
     return rec, None
 
 
-def _parse_multi_table(text: str, k: int) -> cube.MultiOutputFunction:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    fields = dict(item.split("=", 1) for item in lines[0].split())
-    n = int(fields["n"])
-    table = [int(tok, 0) for tok in " ".join(lines[1:]).split()]
-    return cube.MultiOutputFunction(n, k, np.asarray(table))
+# Family kind -> (its size argument, the option that sets it).
+_FAMILY_ARG = {"dictator": ("i", "i"), "and_k": ("k", "k"),
+               "lex": ("count", "count"),
+               "hamming_ball": ("ones_count", "ones")}
 
 
 def _cmd_boolean_family(args):
-    params = {"kind": args.kind, "n": args.n, "alpha": args.alpha}
     build_args = {"n": args.n}
-    if args.kind == "dictator":
-        build_args["i"] = args.i
-        params["i"] = args.i
-    elif args.kind == "and_k":
-        build_args["k"] = args.k
-        params["k"] = args.k
-    elif args.kind == "lex":
-        build_args["count"] = args.count
-        params["count"] = args.count
-    elif args.kind == "hamming_ball":
-        build_args["ones_count"] = args.ones
-        params["ones_count"] = args.ones
+    if args.kind in _FAMILY_ARG:
+        name, option = _FAMILY_ARG[args.kind]
+        build_args[name] = getattr(args, option)
     f = cube.make_family(args.kind, **build_args)
-    rec = RunRecord("boolean family", params, args.seed)
+    rec = RunRecord("boolean family",
+                    {"kind": args.kind, "alpha": args.alpha, **build_args},
+                    args.seed)
     rec.add("mean", float(np.mean(f.bits)))
     rec.add("mi", cube.mutual_information_direct(f.reread(cube.ZERO_ONE),
                                                  args.alpha))
@@ -439,14 +429,11 @@ def _cmd_gauss_kernel_limit(args):
         z = rng.uniform(-0.5, 0.5, args.n)
     ref = gauss.mehler_kernel(y, z, args.rho)
     rows = []
-    rel_errs = []
     for big_n in big_ns:
-        params = gauss.LimitParams(N=big_n, n=args.n)
-        val = gauss.u_rho_N(y, z, args.rho, params)
-        abs_err = abs(val - ref)
-        rel = abs_err / ref
-        rows.append([big_n, val, ref, abs_err, rel])
-        rel_errs.append(rel)
+        val = gauss.u_rho_N(y, z, args.rho,
+                            gauss.LimitParams(N=big_n, n=args.n))
+        rows.append([big_n, val, ref, abs(val - ref), abs(val - ref) / ref])
+    rel_errs = [row[4] for row in rows]
     rec = RunRecord("gauss kernel-limit",
                     {"n": args.n, "rho": args.rho, "bigN": args.bigN},
                     args.seed)
@@ -463,61 +450,15 @@ def _cmd_gauss_kernel_limit(args):
 
 
 def _cmd_gauss_factor_check(args):
-    params = gauss.LimitParams(N=args.bigN, n=args.n)
-    rng = np.random.default_rng(args.seed)
-    d = args.bigN - args.n
-    worst_rel = 0.0
-    for _ in range(args.trials):
-        y = rng.uniform(-1.0, 1.0, args.n)
-        z = rng.uniform(-1.0, 1.0, args.n)
-        w = rng.standard_normal(d)
-        w *= params.R / np.linalg.norm(w)
-        x = rng.standard_normal(d)
-        x *= params.R / np.linalg.norm(x)
-        u = np.hstack([y, math.sqrt(1.0 - y @ y / params.R ** 2) * w])
-        v = np.hstack([z, math.sqrt(1.0 - z @ z / params.R ** 2) * x])
-        lhs = gauss.q_rho(u, v, args.rho, params)
-        r = gauss.r_factor(y, z, args.rho, params)
-        rhs = gauss.u_rho_N(y, z, args.rho, params) \
-            * gauss.poisson_factor(w, x, r)
-        worst_rel = max(worst_rel, abs(lhs - rhs) / lhs)
-    violations = 0
-    for _ in range(100000):
-        y = rng.standard_normal(args.n)
-        y *= params.R * rng.uniform() ** (1.0 / args.n) / np.linalg.norm(y)
-        z = rng.standard_normal(args.n)
-        z *= params.R * rng.uniform() ** (1.0 / args.n) / np.linalg.norm(z)
-        rho = rng.uniform(0.0, 0.99)
-        a = gauss.a_factor(y, z, rho, params)
-        lower = math.sqrt((1.0 - y @ y / params.R ** 2)
-                          * (1.0 - z @ z / params.R ** 2))
-        if lower > a + 1e-12:
-            violations += 1
-        if gauss.r_factor(y, z, rho, params) > rho + 1e-12:
-            violations += 1
-    mass = gauss.poisson_factor_mass_mc(d, args.rho, args.seed,
-                                        radius=params.R,
-                                        samples=args.samples)
-    dec_const = gauss.decomposition_integral_check(
-        "const", params, args.seed, samples=args.samples)
-    dec_x1sq = gauss.decomposition_integral_check(
-        "x1sq", params, args.seed + 1, samples=args.samples)
-    dec_consistent = abs(dec_const["ratio"] - dec_x1sq["ratio"]) <= \
-        3.0 * math.hypot(dec_const["sigma"], dec_x1sq["sigma"])
+    metrics = gauss.factor_check(gauss.LimitParams(N=args.bigN, n=args.n),
+                                 args.rho, args.trials, args.samples,
+                                 args.seed)
     rec = RunRecord("gauss factor-check",
                     {"bigN": args.bigN, "n": args.n, "rho": args.rho,
                      "trials": args.trials, "samples": args.samples},
                     args.seed)
-    rec.add("factorization_worst_rel", worst_rel)
-    rec.add("a_bound_violations", violations)
-    rec.add("poisson_factor_mass", mass["mass"])
-    rec.add("poisson_factor_sigma", mass["sigma"])
-    rec.add("decomposition_ratio_const", dec_const["ratio"])
-    rec.add("decomposition_ratio_x1sq", dec_x1sq["ratio"])
-    rec.add("decomposition_consistent", dec_consistent)
-    mass_ok = abs(mass["mass"] - 1.0) <= 3.0 * mass["sigma"]
-    rec.passed = bool(worst_rel <= 1e-9 and violations == 0 and mass_ok
-                      and dec_consistent)
+    rec.passed = metrics.pop("pass")
+    rec.add_all(metrics)
     return rec, None
 
 
@@ -620,17 +561,16 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         record, table = args.handler(args)
+        record.wall_time_ms = int(1000 * (time.monotonic() - start))
+        if table is None or args.format != "csv":
+            table = emit(record, args.format)
+        _write(table, args.out)
     except (ValueError, OSError) as exc:
         # Input the handler rejects (out-of-range sizes, unreadable files, a
-        # stale checkpoint) is a usage error; a numerical guard's
-        # AssertionError still propagates with exit code 1.
+        # stale checkpoint) and an unwritable --out path are usage errors; a
+        # numerical guard's AssertionError still propagates with exit code 1.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    record.wall_time_ms = int(1000 * (time.monotonic() - start))
-    if table is not None and args.format == "csv":
-        _write(table, args.out)
-    else:
-        _write(emit(record, args.format), args.out)
     if record.passed is False:
         return 1
     return 0

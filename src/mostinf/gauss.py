@@ -10,7 +10,10 @@ matches the direct definition E[f(rho x + sqrt(1-rho^2) z)]; the positive
 cross term seen in one printed source fails both checks, and the erratum is
 pinned by tests.  The big-sphere kernel factors into a finite-dimensional
 piece converging to this kernel and a spherical Poisson piece of unit mass,
-with radius tied to the ambient dimension by R = sqrt(N - n - 3).
+with radius tied to the ambient dimension by R = sqrt(N - n - 3).  The
+factor functions take vectors stacked along leading axes, with rho a scalar
+or one per row, and :func:`factor_check` runs every check of the
+factorization as one call.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "poisson_factor",
     "poisson_factor_mass_mc",
     "decomposition_integral_check",
+    "factor_check",
     "borell_check",
     "log_sphere_area",
 ]
@@ -107,22 +111,19 @@ def random_interval_union(mu: float, pieces: int, rng) -> GaussianSetSpec:
         raise ValueError("measure must be in (0, 1)")
     lengths = rng.dirichlet(np.ones(pieces)) * mu
     gaps = rng.dirichlet(np.ones(pieces + 1)) * (1.0 - mu)
-    edges = []
-    pos = 0.0
-    for i in range(pieces):
-        pos += gaps[i]
-        lo = pos
-        pos += lengths[i]
-        edges.append((lo, pos))
+    # Gap, piece, gap, piece, ...: the running sum gives every edge.
+    edges = np.cumsum(np.column_stack([gaps[:pieces], lengths]).ravel())
+    edges = edges.reshape(pieces, 2)
     iv = [(normal_quantile(a), normal_quantile(b)) for a, b in edges]
     return GaussianSetSpec.interval_union(iv)
 
 
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"correlation {rho!r} outside [0, 1)")
-    return rho
+def _check_rho(rho, name: str = "correlation"):
+    """One correlation as a float, or a per-row array of them, in [0, 1)."""
+    vals = np.asarray(rho, dtype=float)
+    if not ((0.0 <= vals) & (vals < 1.0)).all():
+        raise ValueError(f"{name} {rho!r} outside [0, 1)")
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def mehler_kernel(x, y, rho: float) -> float:
@@ -207,48 +208,60 @@ class LimitParams:
         return math.sqrt(self.N - self.n - 3)
 
 
-def _radial_factors(y, z, params: LimitParams):
+def _lone_or_batch(fn: str):
+    # A lone pair keeps the math library's rounding, so it returns the float
+    # the scalar API always did; numpy's SIMD log and exp can differ from it
+    # in the last bit, which only batches see.
+    return lambda v: getattr(np if isinstance(v, np.ndarray) else math, fn)(v)
+
+
+_log, _log1p, _exp = map(_lone_or_batch, ("log", "log1p", "exp"))
+
+
+def _a_r(y, z, rho, params: LimitParams):
+    """A and r of vectors stacked along leading axes, for a checked rho
+    (scalar or one per row); floats for one pair."""
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     r2 = params.R ** 2
-    ny = float(y @ y) / r2
-    nz = float(z @ z) / r2
-    if ny > 1.0 + 1e-12 or nz > 1.0 + 1e-12:
+    ny = np.vecdot(y, y) / r2
+    nz = np.vecdot(z, z) / r2
+    if (np.maximum(ny, nz) > 1.0 + 1e-12).any():
         raise ValueError("vectors must lie inside the radius-R ball")
-    return y, z, min(ny, 1.0), min(nz, 1.0)
+    cy, cz = 1.0 - np.minimum(ny, 1.0), 1.0 - np.minimum(nz, 1.0)
+    half_b = 0.5 * (1.0 + rho ** 2 - 2.0 * rho * np.vecdot(y, z) / r2)
+    disc = half_b ** 2 - rho ** 2 * cy * cz
+    if (disc < -1e-12).any():
+        raise ValueError(f"negative discriminant {np.min(disc)} too large")
+    a = half_b + np.sqrt(np.maximum(disc, 0.0))
+    r = rho * np.sqrt(cy * cz) / a
+    return (a, r) if isinstance(a, np.ndarray) else (float(a), float(r))
 
 
-def a_factor(y, z, rho: float, params: LimitParams) -> float:
+def a_factor(y, z, rho, params: LimitParams):
     """Larger root of A^2 - (1 + rho^2 - 2 rho <y,z>/R^2) A
-    + rho^2 (1 - ||y||^2/R^2)(1 - ||z||^2/R^2) = 0."""
-    rho = _check_rho(rho)
-    y, z, ny, nz = _radial_factors(y, z, params)
-    half_b = 0.5 * (1.0 + rho ** 2 - 2.0 * rho * float(y @ z) / params.R ** 2)
-    disc = half_b ** 2 - rho ** 2 * (1.0 - ny) * (1.0 - nz)
-    if disc < -1e-12:
-        raise ValueError(f"negative discriminant {disc} beyond tolerance")
-    return half_b + math.sqrt(max(disc, 0.0))
+    + rho^2 (1 - ||y||^2/R^2)(1 - ||z||^2/R^2) = 0, row by row for vectors
+    stacked along leading axes (rho a scalar or one per row); a float for
+    one pair.  Every row must lie in the radius-R ball."""
+    return _a_r(y, z, _check_rho(rho), params)[0]
 
 
-def r_factor(y, z, rho: float, params: LimitParams) -> float:
+def r_factor(y, z, rho, params: LimitParams):
     """Residual spherical correlation rho*sqrt((1-||y||^2/R^2)(1-||z||^2/R^2))/A,
-    always in [0, rho]."""
-    rho = _check_rho(rho)
-    y, z, ny, nz = _radial_factors(y, z, params)
-    a = a_factor(y, z, rho, params)
-    return rho * math.sqrt((1.0 - ny) * (1.0 - nz)) / a
+    always in [0, rho]; rows as in :func:`a_factor`."""
+    return _a_r(y, z, _check_rho(rho), params)[1]
 
 
-def u_rho_N(y, z, rho: float, params: LimitParams) -> float:
-    """Finite-N kernel (1-rho^2)^(1-n/2) / ((1-r^2) A^((N-n)/2))."""
+def u_rho_N(y, z, rho, params: LimitParams):
+    """Finite-N kernel (1-rho^2)^(1-n/2) / ((1-r^2) A^((N-n)/2)); rows as in
+    :func:`a_factor`."""
     rho = _check_rho(rho)
-    a = a_factor(y, z, rho, params)
-    r = r_factor(y, z, rho, params)
+    a, r = _a_r(y, z, rho, params)
     n = params.n
-    log_val = ((1.0 - n / 2.0) * math.log(1.0 - rho ** 2)
-               - math.log(1.0 - r ** 2)
-               - 0.5 * (params.N - n) * math.log(a))
-    return math.exp(log_val)
+    log_val = ((1.0 - n / 2.0) * _log(1.0 - rho ** 2)
+               - _log(1.0 - r ** 2)
+               - 0.5 * (params.N - n) * _log(a))
+    return _exp(log_val)
 
 
 def log_sphere_area(d: int) -> float:
@@ -276,32 +289,37 @@ def q_rho(u, v, rho: float, params: LimitParams) -> float:
     return math.exp(log_val)
 
 
-def poisson_factor(w, x, r: float) -> float:
-    """Unit-mass spherical factor R (1-r^2) / (|S^(d-1)| ||w - r x||^d).
-
-    ``w`` and ``x`` live on a common radius-R sphere in R^d, with d and R
-    read off the vectors; the identity holds for every radius, so the
-    factor is not tied to the limit coupling R = sqrt(N - n - 3).
-    """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"residual correlation {r!r} outside [0, 1)")
+def poisson_factor(w, x, r):
+    """Unit-mass spherical factor R (1-r^2) / (|S^(d-1)| ||w - r x||^d), row
+    by row for w, x stacked along leading axes (r a scalar or one per row);
+    a float for one pair.  Each pair shares a radius-R sphere in R^d, with
+    d and R read off the vectors: the identity holds at every radius, not
+    only at the limit coupling R = sqrt(N - n - 3)."""
+    r = _check_rho(r, "residual correlation")
     w = np.asarray(w, dtype=float)
     x = np.asarray(x, dtype=float)
-    if w.size != x.size:
+    if w.shape[-1] != x.shape[-1]:
         raise ValueError("factor vectors must share a dimension")
-    d = w.size
-    radius = float(np.linalg.norm(w))
-    if abs(np.linalg.norm(x) - radius) > 1e-9 * max(1.0, radius):
+    d = w.shape[-1]
+    radius = np.sqrt(np.vecdot(w, w))
+    if (np.abs(np.sqrt(np.vecdot(x, x)) - radius)
+            > 1e-9 * np.maximum(1.0, radius)).any():
         raise ValueError("factor vectors must share a radius")
-    log_val = (math.log(radius) + math.log1p(-r ** 2) - log_sphere_area(d)
-               - d * math.log(np.linalg.norm(w - r * x)))
-    return math.exp(log_val)
+    diff = w - np.asarray(r)[..., None] * x
+    log_val = (_log(radius) + _log1p(-r ** 2) - log_sphere_area(d)
+               - d * _log(np.sqrt(np.vecdot(diff, diff))))
+    return _exp(log_val)
 
 
 def _uniform_sphere(rng, count: int, dim: int, radius: float) -> np.ndarray:
     pts = rng.standard_normal((count, dim))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return radius * pts
+
+
+def _uniform_ball(rng, count: int, dim: int, radius: float) -> np.ndarray:
+    return _uniform_sphere(rng, count, dim, 1.0) \
+        * (rng.uniform(size=(count, 1)) ** (1.0 / dim)) * radius
 
 
 def poisson_factor_mass_mc(d: int, r: float, seed: int, radius: float = 1.0,
@@ -312,7 +330,7 @@ def poisson_factor_mass_mc(d: int, r: float, seed: int, radius: float = 1.0,
     w[0] = radius
     xs = _uniform_sphere(rng, samples, d, radius)
     area = math.exp(log_sphere_area(d) + (d - 1) * math.log(radius))
-    vals = np.array([poisson_factor(w, x, r) for x in xs]) * area
+    vals = poisson_factor(w, xs, r) * area
     mean = float(np.mean(vals))
     sigma = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return {"mass": mean, "sigma": sigma, "samples": samples}
@@ -357,8 +375,7 @@ def decomposition_integral_check(g, params: LimitParams, seed: int,
     lhs_vals = g(big) * area_big
 
     # rhs sampling: x uniform in the n-ball, v uniform on the (N-n)-sphere.
-    x = _uniform_sphere(rng, samples, n, 1.0) \
-        * (rng.uniform(size=(samples, 1)) ** (1.0 / n)) * R
+    x = _uniform_ball(rng, samples, n, R)
     v = _uniform_sphere(rng, samples, d, R)
     radial = 1.0 - np.sum(x * x, axis=1) / R ** 2
     u_side = np.hstack([x, np.sqrt(radial)[:, None] * v])
@@ -378,6 +395,65 @@ def decomposition_integral_check(g, params: LimitParams, seed: int,
         "ratio": ratio,
         "sigma": float(abs(ratio) * math.sqrt(var)),
         "samples": samples,
+    }
+
+
+_A_BOUND_DRAWS = 100000
+
+
+def factor_check(params: LimitParams, rho: float, trials: int, samples: int,
+                 seed: int) -> dict:
+    """Every check of the big-sphere factorization: its metrics in report
+    order, then the verdict under "pass".  ``trials`` random sphere pairs
+    test q_rho = U_{rho,N} x Poisson factor, 100,000 random ball pairs with
+    their own rho test A's lower bound and r <= rho, and ``samples`` draws
+    each estimate the factor's mass and the decomposition ratio."""
+    if params.n < 1 or trials < 0 or samples < 2:
+        raise ValueError("factor check needs n >= 1, trials >= 0, samples "
+                         f">= 2; got {params.n}, {trials}, {samples}")
+    rho = _check_rho(rho)
+    rng = np.random.default_rng(seed)
+    n, R, d = params.n, params.R, params.N - params.n
+    worst_rel = 0.0
+    for _ in range(trials):
+        y, z = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        w, x = rng.standard_normal(d), rng.standard_normal(d)
+        w *= R / np.linalg.norm(w)
+        x *= R / np.linalg.norm(x)
+        u = np.hstack([y, math.sqrt(1.0 - y @ y / R ** 2) * w])
+        v = np.hstack([z, math.sqrt(1.0 - z @ z / R ** 2) * x])
+        rhs = u_rho_N(y, z, rho, params) \
+            * poisson_factor(w, x, r_factor(y, z, rho, params))
+        lhs = q_rho(u, v, rho, params)
+        worst_rel = max(worst_rel, abs(lhs - rhs) / lhs)
+
+    y = _uniform_ball(rng, _A_BOUND_DRAWS, n, R)
+    z = _uniform_ball(rng, _A_BOUND_DRAWS, n, R)
+    rhos = rng.uniform(0.0, 0.99, _A_BOUND_DRAWS)
+    a, r = _a_r(y, z, rhos, params)
+    lower = np.sqrt((1.0 - np.vecdot(y, y) / R ** 2)
+                    * (1.0 - np.vecdot(z, z) / R ** 2))
+    violations = int(np.count_nonzero(lower > a + 1e-12)
+                     + np.count_nonzero(r > rhos + 1e-12))
+
+    mass = poisson_factor_mass_mc(d, rho, seed, radius=R, samples=samples)
+    dec_const = decomposition_integral_check("const", params, seed,
+                                             samples=samples)
+    dec_x1sq = decomposition_integral_check("x1sq", params, seed + 1,
+                                            samples=samples)
+    consistent = abs(dec_const["ratio"] - dec_x1sq["ratio"]) <= \
+        3.0 * math.hypot(dec_const["sigma"], dec_x1sq["sigma"])
+    mass_ok = abs(mass["mass"] - 1.0) <= 3.0 * mass["sigma"]
+    return {
+        "factorization_worst_rel": worst_rel,
+        "a_bound_violations": violations,
+        "poisson_factor_mass": mass["mass"],
+        "poisson_factor_sigma": mass["sigma"],
+        "decomposition_ratio_const": dec_const["ratio"],
+        "decomposition_ratio_x1sq": dec_x1sq["ratio"],
+        "decomposition_consistent": consistent,
+        "pass": bool(worst_rel <= 1e-9 and violations == 0 and mass_ok
+                     and consistent),
     }
 
 

@@ -35,6 +35,7 @@ from .cube import (
     _log_binom,
     _popcount,
     and_mi_exact,
+    dictator,
     hamming_ball_w1_exact,
     lex,
     mutual_information_direct,
@@ -70,14 +71,6 @@ class SearchReport:
     lex_attains: bool | None = None
 
 
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    p = np.clip(p, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.where(p > 0.0, p * np.log2(p), 0.0)
-        out -= np.where(p < 1.0, (1.0 - p) * np.log2(1.0 - p), 0.0)
-    return out
-
-
 MAX_KERNEL_N = 5
 
 
@@ -105,7 +98,7 @@ def _count_kernel(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     for d in range(n + 1):
         p += w[d] * counts[:, d]
         q += w[d] * (sizes[d] - counts[:, d])
-    H = _entropy_rows(np.minimum(p, q))
+    H = binary_entropy(np.minimum(p, q))
     R.flags.writeable = False
     H.flags.writeable = False
     return R, H
@@ -125,19 +118,13 @@ def _batched_mi(tables: np.ndarray, alpha: float) -> np.ndarray:
     R, H = _count_kernel(n, float(alpha))
     codes = (tables.astype(np.float32) @ R).astype(np.int32)
     mu = np.mean(tables, axis=-1)
-    return _entropy_rows(mu) - np.mean(H[codes], axis=-1)
+    return binary_entropy(mu) - np.mean(H[codes], axis=-1)
 
 
 def _dictator_table_ints(n: int) -> set[int]:
     """Table integers of the 2n one-coordinate functions (both signs)."""
-    out = set()
-    j = np.arange(1 << n)
-    for i in range(1, n + 1):
-        bits = ((j >> (n - i)) & 1).astype(np.int64)
-        t = int(np.sum(bits << j))
-        out.add(t)
-        out.add(t ^ ((1 << (1 << n)) - 1))
-    return out
+    tables = {dictator(n, i).table_int() for i in range(1, n + 1)}
+    return tables | {t ^ ((1 << (1 << n)) - 1) for t in tables}
 
 
 def _bits_matrix(table_ints: np.ndarray, size: int) -> np.ndarray:
@@ -245,15 +232,12 @@ def ball_profile_for_mean(n: int, mu: float) -> SymmetricProfile:
     """Level profile of the ball with exact mean mu: full low levels plus a
     fractional boundary level."""
     q = np.exp(_log_binom(n, np.arange(n + 1)) - n * math.log(2.0))
-    levels = np.zeros(n + 1)
-    acc = 0.0
-    for i in range(n + 1):
-        if acc + q[i] <= mu:
-            levels[i] = 1.0
-            acc += q[i]
-        else:
-            levels[i] = max(0.0, (mu - acc) / q[i])
-            break
+    cum = np.cumsum(q)
+    full = int(np.count_nonzero(cum <= mu))  # cum is nondecreasing
+    levels = (np.arange(n + 1) < full).astype(float)
+    if full <= n:
+        filled = cum[full - 1] if full else 0.0
+        levels[full] = max(0.0, (mu - filled) / q[full])
     return SymmetricProfile(n, levels)
 
 

@@ -261,10 +261,21 @@ class TestDispatchErrors:
         ["boolean", "verify", "--n", "7", "--alpha", "0.1"],
         ["gauss", "halfspace-vs", "--measure", "1.5", "--rho", "0.5"],
         ["boolean", "mi", "--tt", "no-such-table.tt", "--alpha", "0.2"],
+        ["boolean", "verify", "--n", "2", "--alpha", "0.1",
+         "--out", "no-such-dir/record.json"],
+        ["boolean", "mi", "--tt", "no-n.tt", "--alpha", "0.2"],
+        ["boolean", "mi", "--tt", "no-conv.tt", "--alpha", "0.2"],
+        ["boolean", "mi", "--tt", "empty.tt", "--alpha", "0.2",
+         "--multi", "2"],
+        ["gauss", "factor-check", "--bigN", "9", "--n", "2",
+         "--samples", "1"],
     ])
     def test_bad_input_exit_2_one_line(self, capsys, tmp_path, monkeypatch,
                                        argv):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "no-n.tt").write_text("conv=zero_one\n0110\n")
+        (tmp_path / "no-conv.tt").write_text("n=2\n0110\n")
+        (tmp_path / "empty.tt").write_text("")
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -264,6 +264,65 @@ class TestFactorAlgebra:
             assert v1 == pytest.approx(u_rho_N(z, y, 0.6, p), rel=1e-13)
 
 
+class TestBatchedFactors:
+    """Vectors stacked along a leading axis, one rho per row, N = 9, n = 2."""
+
+    P = LimitParams(N=9, n=2)
+    ROWS = 1000
+
+    def _sphere(self, rng, dim):
+        pts = rng.standard_normal((self.ROWS, dim))
+        return pts * self.P.R / np.linalg.norm(pts, axis=1, keepdims=True)
+
+    def test_factorization_matches_scalar_kernel_per_row(self):
+        p = self.P
+        rng = np.random.default_rng(61)
+        Y = rng.uniform(-1, 1, (self.ROWS, 2))
+        Z = rng.uniform(-1, 1, (self.ROWS, 2))
+        W = self._sphere(rng, 7)
+        X = self._sphere(rng, 7)
+        rho = rng.uniform(0, 0.95, self.ROWS)
+        rhs = u_rho_N(Y, Z, rho, p) * poisson_factor(W, X,
+                                                     r_factor(Y, Z, rho, p))
+        assert rhs.shape == (self.ROWS,)
+        for i in range(self.ROWS):
+            y, z = Y[i], Z[i]
+            u = np.hstack([y, math.sqrt(1 - y @ y / p.R ** 2) * W[i]])
+            v = np.hstack([z, math.sqrt(1 - z @ z / p.R ** 2) * X[i]])
+            lhs = q_rho(u, v, float(rho[i]), p)
+            assert abs(lhs - rhs[i]) / lhs <= 1e-9
+
+    def test_a_lower_bound_and_r_range_on_every_row(self):
+        p = self.P
+        rng = np.random.default_rng(62)
+        Y = self._sphere(rng, 2) * rng.uniform(size=(self.ROWS, 1))
+        Z = self._sphere(rng, 2) * rng.uniform(size=(self.ROWS, 1))
+        rho = rng.uniform(0, 0.99, self.ROWS)
+        a = a_factor(Y, Z, rho, p)
+        r = r_factor(Y, Z, rho, p)
+        lower = np.sqrt((1 - np.sum(Y * Y, axis=1) / p.R ** 2)
+                        * (1 - np.sum(Z * Z, axis=1) / p.R ** 2))
+        assert np.all(lower <= a + 1e-12)
+        assert np.all(r >= 0.0)
+        assert np.all(r <= rho + 1e-12)
+
+    def test_one_row_outside_the_ball_raises(self):
+        rng = np.random.default_rng(63)
+        Y = rng.uniform(-1, 1, (self.ROWS, 2))
+        Z = rng.uniform(-1, 1, (self.ROWS, 2))
+        Y[417] = [5.0, 0.0]
+        for fn in (a_factor, r_factor, u_rho_N):
+            with pytest.raises(ValueError):
+                fn(Y, Z, 0.5, self.P)
+            rest = fn(np.delete(Y, 417, 0), np.delete(Z, 417, 0), 0.5, self.P)
+            assert rest.shape == (self.ROWS - 1,)
+
+    def test_one_pair_gives_a_float(self):
+        y, z = np.array([0.5, 0.0]), np.array([0.2, 0.3])
+        for fn in (a_factor, r_factor, u_rho_N):
+            assert type(fn(y, z, 0.5, self.P)) is float
+
+
 class TestBigSphereKernel:
     def test_factorization_identity(self):
         p = LimitParams(N=9, n=2)
