@@ -121,7 +121,12 @@ def emit(record: RunRecord, fmt: str = "json") -> bytes:
         lines = ["name,value"]
         for item in record.results:
             v = item["value"]
-            text = v if isinstance(v, str) else _json_render(v)
+            if isinstance(v, (bool, np.bool_)):
+                text = "true" if v else "false"
+            elif isinstance(v, (np.floating, float)):
+                text = _format_float(float(v))
+            else:
+                text = str(v)
             lines.append(f"{item['name']},{text}")
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
@@ -197,7 +202,7 @@ def _cmd_boolean_mi(args):
     params = {"tt": args.tt, "alpha": args.alpha}
     rec = RunRecord("boolean mi", params, args.seed)
     if args.multi:
-        f = cube.parse_multi_table(text, args.multi)
+        f = _parse_multi_table(text, args.multi)
         rec.params["multi"] = args.multi
         rec.add("mi", cube.mutual_information_direct(f, args.alpha))
         rec.add("per_bit", rec.results[-1]["value"] / args.multi)
@@ -213,21 +218,32 @@ def _cmd_boolean_mi(args):
     return rec, None
 
 
-# Family kind -> (its size argument, the option that sets it).
-_FAMILY_ARG = {"dictator": ("i", "i"), "and_k": ("k", "k"),
-               "lex": ("count", "count"),
-               "hamming_ball": ("ones_count", "ones")}
+def _parse_multi_table(text: str, k: int) -> cube.MultiOutputFunction:
+    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty truth table")
+    n = int(cube._header_fields(lines[0], "n")["n"])
+    table = [int(tok, 0) for tok in " ".join(lines[1:]).split()]
+    return cube.MultiOutputFunction(n, k, np.asarray(table))
 
 
 def _cmd_boolean_family(args):
+    params = {"kind": args.kind, "n": args.n, "alpha": args.alpha}
     build_args = {"n": args.n}
-    if args.kind in _FAMILY_ARG:
-        name, option = _FAMILY_ARG[args.kind]
-        build_args[name] = getattr(args, option)
+    if args.kind == "dictator":
+        build_args["i"] = args.i
+        params["i"] = args.i
+    elif args.kind == "and_k":
+        build_args["k"] = args.k
+        params["k"] = args.k
+    elif args.kind == "lex":
+        build_args["count"] = args.count
+        params["count"] = args.count
+    elif args.kind == "hamming_ball":
+        build_args["ones_count"] = args.ones
+        params["ones_count"] = args.ones
     f = cube.make_family(args.kind, **build_args)
-    rec = RunRecord("boolean family",
-                    {"kind": args.kind, "alpha": args.alpha, **build_args},
-                    args.seed)
+    rec = RunRecord("boolean family", params, args.seed)
     rec.add("mean", float(np.mean(f.bits)))
     rec.add("mi", cube.mutual_information_direct(f.reread(cube.ZERO_ONE),
                                                  args.alpha))
@@ -429,11 +445,14 @@ def _cmd_gauss_kernel_limit(args):
         z = rng.uniform(-0.5, 0.5, args.n)
     ref = gauss.mehler_kernel(y, z, args.rho)
     rows = []
+    rel_errs = []
     for big_n in big_ns:
-        val = gauss.u_rho_N(y, z, args.rho,
-                            gauss.LimitParams(N=big_n, n=args.n))
-        rows.append([big_n, val, ref, abs(val - ref), abs(val - ref) / ref])
-    rel_errs = [row[4] for row in rows]
+        params = gauss.LimitParams(N=big_n, n=args.n)
+        val = gauss.u_rho_N(y, z, args.rho, params)
+        abs_err = abs(val - ref)
+        rel = abs_err / ref
+        rows.append([big_n, val, ref, abs_err, rel])
+        rel_errs.append(rel)
     rec = RunRecord("gauss kernel-limit",
                     {"n": args.n, "rho": args.rho, "bigN": args.bigN},
                     args.seed)
@@ -561,14 +580,19 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         record, table = args.handler(args)
-        record.wall_time_ms = int(1000 * (time.monotonic() - start))
-        if table is None or args.format != "csv":
-            table = emit(record, args.format)
-        _write(table, args.out)
     except (ValueError, OSError) as exc:
         # Input the handler rejects (out-of-range sizes, unreadable files, a
-        # stale checkpoint) and an unwritable --out path are usage errors; a
-        # numerical guard's AssertionError still propagates with exit code 1.
+        # stale checkpoint) is a usage error; a numerical guard's
+        # AssertionError still propagates with exit code 1.
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+    record.wall_time_ms = int(1000 * (time.monotonic() - start))
+    if table is None or args.format != "csv":
+        table = emit(record, args.format)
+    try:
+        _write(table, args.out)
+    except OSError as exc:
+        # An unwritable --out path is a usage error too.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     if record.passed is False:

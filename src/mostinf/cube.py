@@ -45,7 +45,6 @@ __all__ = [
     "perfect_code_mi",
     "hamming_code_decoder",
     "parse_truth_table",
-    "parse_multi_table",
     "format_truth_table",
 ]
 
@@ -373,9 +372,18 @@ def hamming_ball(n: int, ones_count: int) -> BooleanFunction:
     """Ball around the all-(+1) point, boundary ties by ascending index."""
     if not 0 <= ones_count <= (1 << n):
         raise ValueError(f"ones_count {ones_count} outside 0..2^{n}")
-    order = np.argsort(_popcount(np.arange(1 << n)), kind="stable")
+    weights = _popcount(np.arange(1 << n))
     bits = np.zeros(1 << n, dtype=np.uint8)
-    bits[order[:ones_count]] = 1
+    remaining = ones_count
+    for level in range(n + 1):
+        idx = np.nonzero(weights == level)[0]
+        if remaining >= idx.size:
+            bits[idx] = 1
+            remaining -= idx.size
+        else:
+            bits[idx[:remaining]] = 1
+            remaining = 0
+            break
     return BooleanFunction(n, bits, ZERO_ONE)
 
 
@@ -591,54 +599,54 @@ def format_truth_table(f: BooleanFunction, hex_form: bool = False) -> str:
     """Two-line text form: header, then the table in ascending index order."""
     header = f"n={f.n} conv={f.convention}"
     if hex_form:
-        digits = "".join(f"{b & 15:x}{b >> 4:x}" for b in f._packed)
-        return f"{header}\n0x{digits[:((1 << f.n) + 3) // 4]}\n"
+        nibbles = []
+        bits = f.bits
+        for start in range(0, bits.size, 4):
+            chunk = bits[start:start + 4]
+            val = int(sum(int(b) << p for p, b in enumerate(chunk)))
+            nibbles.append(format(val, "x"))
+        return f"{header}\n0x{''.join(nibbles)}\n"
     body = "".join("1" if b else "0" for b in f.bits)
     return f"{header}\n{body}\n"
 
 
-def _table_lines(text: str, *keys: str) -> tuple[dict, list[str]]:
-    """Header fields, each of ``keys`` required, and body lines of a table."""
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty truth table")
-    fields = dict(item.partition("=")[::2] for item in lines[0].split())
+def _header_fields(header: str, *keys: str) -> dict:
+    """``key=value`` fields of a table header; each of ``keys`` is required."""
+    fields = dict(item.partition("=")[::2] for item in header.split())
     missing = " ".join(f"{k}=" for k in keys if k not in fields)
     if missing:
-        raise ValueError(f"truth-table header {lines[0]!r} lacks {missing}")
-    return fields, lines[1:]
-
-
-def parse_multi_table(text: str, k: int) -> MultiOutputFunction:
-    """Header ``n=<n>``, then 2^n output integers over any number of lines."""
-    fields, lines = _table_lines(text, "n")
-    table = [int(tok, 0) for tok in " ".join(lines).split()]
-    return MultiOutputFunction(int(fields["n"]), k, np.asarray(table))
+        raise ValueError(f"truth-table header {header!r} lacks {missing}")
+    return fields
 
 
 def parse_truth_table(text: str) -> BooleanFunction:
     """Parse the two-line format; the body may be binary chars or 0x... hex
     with LSB-first nibbles (first nibble holds indices 0-3)."""
-    fields, lines = _table_lines(text, "n", "conv")
-    if len(lines) != 1:
+    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    if len(lines) != 2:
         raise ValueError("expected a header line and a table line")
+    fields = _header_fields(lines[0], "n", "conv")
     n = int(fields["n"])
+    convention = fields["conv"]
     size = 1 << n
-    body = lines[0]
+    body = lines[1]
     if body.startswith("0x") or body.startswith("0X"):
         nibbles = body[2:]
         if len(nibbles) != (size + 3) // 4:
             raise ValueError("hex table length mismatch")
-        vals = np.array([int(ch, 16) for ch in nibbles], dtype=np.uint8)
-        bits = np.unpackbits(vals[:, None], axis=1, count=4,
-                             bitorder="little").ravel()
-        if bits[size:].any():
-            raise ValueError("hex table has bits beyond 2^n")
-        bits = bits[:size]
+        bits = np.zeros(size, dtype=np.uint8)
+        for pos, ch in enumerate(nibbles):
+            val = int(ch, 16)
+            for p in range(4):
+                j = 4 * pos + p
+                if j < size:
+                    bits[j] = (val >> p) & 1
+                elif (val >> p) & 1:
+                    raise ValueError("hex table has bits beyond 2^n")
     else:
         if len(body) != size:
             raise ValueError(f"table line length {len(body)} != 2^{n}")
         if set(body) - {"0", "1"}:
             raise ValueError("table line must contain only 0/1")
         bits = np.frombuffer(body.encode(), dtype=np.uint8) - ord("0")
-    return BooleanFunction(n, bits, fields["conv"])
+    return BooleanFunction(n, bits, convention)

@@ -111,9 +111,13 @@ def random_interval_union(mu: float, pieces: int, rng) -> GaussianSetSpec:
         raise ValueError("measure must be in (0, 1)")
     lengths = rng.dirichlet(np.ones(pieces)) * mu
     gaps = rng.dirichlet(np.ones(pieces + 1)) * (1.0 - mu)
-    # Gap, piece, gap, piece, ...: the running sum gives every edge.
-    edges = np.cumsum(np.column_stack([gaps[:pieces], lengths]).ravel())
-    edges = edges.reshape(pieces, 2)
+    edges = []
+    pos = 0.0
+    for i in range(pieces):
+        pos += gaps[i]
+        lo = pos
+        pos += lengths[i]
+        edges.append((lo, pos))
     iv = [(normal_quantile(a), normal_quantile(b)) for a, b in edges]
     return GaussianSetSpec.interval_union(iv)
 
@@ -218,18 +222,25 @@ def _lone_or_batch(fn: str):
 _log, _log1p, _exp = map(_lone_or_batch, ("log", "log1p", "exp"))
 
 
+def _rowdot(a, b):
+    # Dot products along the last axis; two 1-D vectors give a float.
+    if a.ndim == b.ndim == 1:
+        return float(a @ b)
+    return np.einsum("...i,...i->...", a, b)
+
+
 def _a_r(y, z, rho, params: LimitParams):
     """A and r of vectors stacked along leading axes, for a checked rho
     (scalar or one per row); floats for one pair."""
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     r2 = params.R ** 2
-    ny = np.vecdot(y, y) / r2
-    nz = np.vecdot(z, z) / r2
+    ny = _rowdot(y, y) / r2
+    nz = _rowdot(z, z) / r2
     if (np.maximum(ny, nz) > 1.0 + 1e-12).any():
         raise ValueError("vectors must lie inside the radius-R ball")
     cy, cz = 1.0 - np.minimum(ny, 1.0), 1.0 - np.minimum(nz, 1.0)
-    half_b = 0.5 * (1.0 + rho ** 2 - 2.0 * rho * np.vecdot(y, z) / r2)
+    half_b = 0.5 * (1.0 + rho ** 2 - 2.0 * rho * _rowdot(y, z) / r2)
     disc = half_b ** 2 - rho ** 2 * cy * cz
     if (disc < -1e-12).any():
         raise ValueError(f"negative discriminant {np.min(disc)} too large")
@@ -301,13 +312,13 @@ def poisson_factor(w, x, r):
     if w.shape[-1] != x.shape[-1]:
         raise ValueError("factor vectors must share a dimension")
     d = w.shape[-1]
-    radius = np.sqrt(np.vecdot(w, w))
-    if (np.abs(np.sqrt(np.vecdot(x, x)) - radius)
+    radius = np.sqrt(_rowdot(w, w))
+    if (np.abs(np.sqrt(_rowdot(x, x)) - radius)
             > 1e-9 * np.maximum(1.0, radius)).any():
         raise ValueError("factor vectors must share a radius")
     diff = w - np.asarray(r)[..., None] * x
     log_val = (_log(radius) + _log1p(-r ** 2) - log_sphere_area(d)
-               - d * _log(np.sqrt(np.vecdot(diff, diff))))
+               - d * _log(np.sqrt(_rowdot(diff, diff))))
     return _exp(log_val)
 
 
@@ -431,8 +442,8 @@ def factor_check(params: LimitParams, rho: float, trials: int, samples: int,
     z = _uniform_ball(rng, _A_BOUND_DRAWS, n, R)
     rhos = rng.uniform(0.0, 0.99, _A_BOUND_DRAWS)
     a, r = _a_r(y, z, rhos, params)
-    lower = np.sqrt((1.0 - np.vecdot(y, y) / R ** 2)
-                    * (1.0 - np.vecdot(z, z) / R ** 2))
+    lower = np.sqrt((1.0 - _rowdot(y, y) / R ** 2)
+                    * (1.0 - _rowdot(z, z) / R ** 2))
     violations = int(np.count_nonzero(lower > a + 1e-12)
                      + np.count_nonzero(r > rhos + 1e-12))
 
