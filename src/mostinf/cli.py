@@ -121,12 +121,7 @@ def emit(record: RunRecord, fmt: str = "json") -> bytes:
         lines = ["name,value"]
         for item in record.results:
             v = item["value"]
-            if isinstance(v, (bool, np.bool_)):
-                text = "true" if v else "false"
-            elif isinstance(v, (np.floating, float)):
-                text = _format_float(float(v))
-            else:
-                text = str(v)
+            text = v if isinstance(v, str) else _json_render(v)
             lines.append(f"{item['name']},{text}")
         return ("\n".join(lines) + "\n").encode()
     raise ValueError(f"unknown format {fmt!r}")
@@ -227,21 +222,18 @@ def _parse_multi_table(text: str, k: int) -> cube.MultiOutputFunction:
     return cube.MultiOutputFunction(n, k, np.asarray(table))
 
 
+# The family parameter each kind takes, and the flag that carries it.
+_FAMILY_OPTION = {"dictator": ("i", "i"), "and_k": ("k", "k"),
+                  "lex": ("count", "count"),
+                  "hamming_ball": ("ones_count", "ones")}
+
+
 def _cmd_boolean_family(args):
     params = {"kind": args.kind, "n": args.n, "alpha": args.alpha}
     build_args = {"n": args.n}
-    if args.kind == "dictator":
-        build_args["i"] = args.i
-        params["i"] = args.i
-    elif args.kind == "and_k":
-        build_args["k"] = args.k
-        params["k"] = args.k
-    elif args.kind == "lex":
-        build_args["count"] = args.count
-        params["count"] = args.count
-    elif args.kind == "hamming_ball":
-        build_args["ones_count"] = args.ones
-        params["ones_count"] = args.ones
+    if args.kind in _FAMILY_OPTION:
+        key, flag = _FAMILY_OPTION[args.kind]
+        build_args[key] = params[key] = getattr(args, flag)
     f = cube.make_family(args.kind, **build_args)
     rec = RunRecord("boolean family", params, args.seed)
     rec.add("mean", float(np.mean(f.bits)))
@@ -318,37 +310,14 @@ def _cmd_boolean_taylor(args):
 
 
 def _cmd_sphere_polarize_check(args):
-    grid = sphere.circle_grid(args.grid)
-    kernel = sphere.KernelSpec.poisson(args.rho, 2)
-    psi = args.psi
-    rng = np.random.default_rng(args.seed)
-    checks = failures = 0
-    worst_j = 0.0
-    worst_sum = 0.0
-    worst_diff = 0.0
-    for _ in range(args.trials):
-        f = sphere.SphericalField(
-            grid, rng.integers(0, 2, args.grid).astype(float))
-        for sigma in grid.reflections:
-            res = sphere.polarization_inequality_check(f, sigma, kernel, psi)
-            pw = sphere.polarization_pointwise_check(f, sigma, kernel)
-            checks += 1
-            worst_j = max(worst_j, res["j_before"] - res["j_after"])
-            worst_sum = max(worst_sum, pw["max_sum_dev"])
-            worst_diff = min(worst_diff, pw["min_diff_margin"])
-            if not res["pass"] or pw["max_sum_dev"] > 1e-10 \
-                    or pw["min_diff_margin"] < -1e-10:
-                failures += 1
+    metrics = sphere.polarization_check(args.grid, args.rho, args.psi,
+                                        args.trials, args.seed)
     rec = RunRecord(
         "sphere polarize-check",
         {"grid": args.grid, "rho": args.rho, "psi": args.psi_name,
          "trials": args.trials}, args.seed)
-    rec.add("checks", checks)
-    rec.add("failures", failures)
-    rec.add("worst_j_drop", worst_j)
-    rec.add("worst_sum_dev", worst_sum)
-    rec.add("worst_diff_margin", worst_diff)
-    rec.passed = failures == 0
+    rec.passed = metrics.pop("pass")
+    rec.add_all(metrics)
     return rec, None
 
 
@@ -445,22 +414,18 @@ def _cmd_gauss_kernel_limit(args):
         z = rng.uniform(-0.5, 0.5, args.n)
     ref = gauss.mehler_kernel(y, z, args.rho)
     rows = []
-    rel_errs = []
     for big_n in big_ns:
-        params = gauss.LimitParams(N=big_n, n=args.n)
-        val = gauss.u_rho_N(y, z, args.rho, params)
-        abs_err = abs(val - ref)
-        rel = abs_err / ref
-        rows.append([big_n, val, ref, abs_err, rel])
-        rel_errs.append(rel)
+        val = gauss.u_rho_N(y, z, args.rho,
+                            gauss.LimitParams(N=big_n, n=args.n))
+        rows.append([big_n, val, ref, abs(val - ref), abs(val - ref) / ref])
     rec = RunRecord("gauss kernel-limit",
                     {"n": args.n, "rho": args.rho, "bigN": args.bigN},
                     args.seed)
     for row in rows:
         rec.add(f"rel_err_N{row[0]}", row[4])
-    monotone = all(a > b for a, b in zip(rel_errs, rel_errs[1:]))
+    monotone = all(a[4] > b[4] for a, b in zip(rows, rows[1:]))
     rec.add("errors_monotone", monotone)
-    rec.passed = monotone and rel_errs[-1] < 0.05
+    rec.passed = monotone and rows[-1][4] < 0.05
     table = None
     if args.format == "csv":
         table = _csv_table(["N", "value", "reference", "abs_err", "rel_err"],

@@ -111,13 +111,8 @@ def random_interval_union(mu: float, pieces: int, rng) -> GaussianSetSpec:
         raise ValueError("measure must be in (0, 1)")
     lengths = rng.dirichlet(np.ones(pieces)) * mu
     gaps = rng.dirichlet(np.ones(pieces + 1)) * (1.0 - mu)
-    edges = []
-    pos = 0.0
-    for i in range(pieces):
-        pos += gaps[i]
-        lo = pos
-        pos += lengths[i]
-        edges.append((lo, pos))
+    # Gap, piece, gap, piece, ...: the running sum gives each piece's ends.
+    edges = np.cumsum(np.column_stack([gaps[:-1], lengths])).reshape(-1, 2)
     iv = [(normal_quantile(a), normal_quantile(b)) for a, b in edges]
     return GaussianSetSpec.interval_union(iv)
 

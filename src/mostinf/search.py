@@ -35,6 +35,7 @@ from .cube import (
     _log_binom,
     _popcount,
     and_mi_exact,
+    dictator,
     hamming_ball_w1_exact,
     lex,
     mutual_information_direct,
@@ -122,14 +123,9 @@ def _batched_mi(tables: np.ndarray, alpha: float) -> np.ndarray:
 
 def _dictator_table_ints(n: int) -> set[int]:
     """Table integers of the 2n one-coordinate functions (both signs)."""
-    out = set()
-    j = np.arange(1 << n)
-    for i in range(1, n + 1):
-        bits = ((j >> (n - i)) & 1).astype(np.int64)
-        t = int(np.sum(bits << j))
-        out.add(t)
-        out.add(t ^ ((1 << (1 << n)) - 1))
-    return out
+    tables = {dictator(n, i).table_int() for i in range(1, n + 1)}
+    full = (1 << (1 << n)) - 1
+    return tables | {t ^ full for t in tables}
 
 
 def _bits_matrix(table_ints: np.ndarray, size: int) -> np.ndarray:
@@ -237,15 +233,12 @@ def ball_profile_for_mean(n: int, mu: float) -> SymmetricProfile:
     """Level profile of the ball with exact mean mu: full low levels plus a
     fractional boundary level."""
     q = np.exp(_log_binom(n, np.arange(n + 1)) - n * math.log(2.0))
-    levels = np.zeros(n + 1)
-    acc = 0.0
-    for i in range(n + 1):
-        if acc + q[i] <= mu:
-            levels[i] = 1.0
-            acc += q[i]
-        else:
-            levels[i] = max(0.0, (mu - acc) / q[i])
-            break
+    cum = np.cumsum(q)
+    full = int(np.searchsorted(cum, mu, side="right"))
+    levels = (np.arange(n + 1) < full).astype(float)
+    if full <= n:
+        acc = cum[full - 1] if full else 0.0
+        levels[full] = max(0.0, (mu - acc) / q[full])
     return SymmetricProfile(n, levels)
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "functional_J",
     "polarization_inequality_check",
     "polarization_pointwise_check",
+    "polarization_check",
     "iterate_polarizations",
     "spherical_mi",
     "field_to_json",
@@ -320,26 +321,47 @@ def kernel_apply(kernel: KernelSpec, f: SphericalField) -> SphericalField:
 
 def functional_J(psi: PsiSpec, kernel: KernelSpec, f: SphericalField) -> float:
     """Weighted sum of psi over the smoothed field."""
-    kf = kernel_apply(kernel, f).values
+    return _psi_sum(psi, kernel_apply(kernel, f).values, f.pointset.weights)
+
+
+def _psi_sum(psi: PsiSpec, kf: np.ndarray, weights: np.ndarray) -> float:
+    """sum_i w_i psi(kf_i) for an already smoothed field kf."""
     if psi.domain is not None:
         lo, hi = psi.domain
         if kf.min() < lo - 1e-9 or kf.max() > hi + 1e-9:
             raise ValueError("smoothed values escape psi's domain")
         kf = np.clip(kf, lo, hi)
-    return float(math.fsum((f.pointset.weights * psi(kf)).tolist()))
+    return float(math.fsum((weights * psi(kf)).tolist()))
+
+
+def _reflection_checks(f: SphericalField, sigmas, kernel: KernelSpec,
+                       psi: PsiSpec | None = None, tol: float = 1e-10):
+    """Per-reflection metrics of f against f^sigma for each sigma, with f
+    smoothed once and each f^sigma once; J only when ``psi`` is given."""
+    ps = f.pointset
+    kf = kernel_apply(kernel, f).values
+    if psi is not None:
+        j_before = _psi_sum(psi, kf, ps.weights)
+    for sigma in sigmas:
+        partner = ps.partner_indices(sigma)
+        kfs = kernel_apply(kernel, polarize(f, sigma)).values
+        sum_dev = np.abs(kf + kf[partner] - kfs - kfs[partner])
+        diff_margin = np.abs(kfs - kfs[partner]) - np.abs(kf - kf[partner])
+        out = {"max_sum_dev": float(np.max(sum_dev)),
+               "min_diff_margin": float(np.min(diff_margin))}
+        if psi is not None:
+            j_after = _psi_sum(psi, kfs, ps.weights)
+            out.update({"j_before": j_before, "j_after": j_after,
+                        "pass": bool(j_after >= j_before - tol)})
+        yield out
 
 
 def polarization_inequality_check(f: SphericalField, sigma: Reflection,
                                   kernel: KernelSpec, psi: PsiSpec,
                                   tol: float = 1e-10) -> dict:
     """J(f) <= J(f^sigma) up to float tolerance."""
-    j_before = functional_J(psi, kernel, f)
-    j_after = functional_J(psi, kernel, polarize(f, sigma))
-    return {
-        "j_before": j_before,
-        "j_after": j_after,
-        "pass": bool(j_after >= j_before - tol),
-    }
+    res = next(_reflection_checks(f, [sigma], kernel, psi, tol))
+    return {key: res[key] for key in ("j_before", "j_after", "pass")}
 
 
 def polarization_pointwise_check(f: SphericalField, sigma: Reflection,
@@ -349,16 +371,35 @@ def polarization_pointwise_check(f: SphericalField, sigma: Reflection,
     Reports the largest deviation of Kf(x) + Kf(sx) = Kf^s(x) + Kf^s(sx)
     and the worst margin of |Kf^s(x) - Kf^s(sx)| >= |Kf(x) - Kf(sx)|.
     """
-    ps = f.pointset
-    partner = ps.partner_indices(sigma)
-    kf = kernel_apply(kernel, f).values
-    kfs = kernel_apply(kernel, polarize(f, sigma)).values
-    sum_dev = np.abs(kf + kf[partner] - kfs - kfs[partner])
-    diff_margin = np.abs(kfs - kfs[partner]) - np.abs(kf - kf[partner])
-    return {
-        "max_sum_dev": float(np.max(sum_dev)),
-        "min_diff_margin": float(np.min(diff_margin)),
-    }
+    return next(_reflection_checks(f, [sigma], kernel))
+
+
+def polarization_check(grid_m: int, rho: float, psi: PsiSpec, trials: int,
+                       seed: int) -> dict:
+    """Polarization inequality and two-point identities on the M-point circle.
+
+    Draws ``trials`` random 0/1 fields and checks every supported
+    reflection of each with the Poisson kernel at ``rho``.  A check fails
+    when J drops or an identity is off by more than 1e-10.
+    """
+    grid = circle_grid(grid_m)
+    kernel = KernelSpec.poisson(rho, 2)
+    rng = np.random.default_rng(seed)
+    checks = failures = 0
+    worst_j = worst_sum = worst_diff = 0.0
+    for _ in range(trials):
+        f = SphericalField(grid, rng.integers(0, 2, grid_m).astype(float))
+        for res in _reflection_checks(f, grid.reflections, kernel, psi):
+            checks += 1
+            worst_j = max(worst_j, res["j_before"] - res["j_after"])
+            worst_sum = max(worst_sum, res["max_sum_dev"])
+            worst_diff = min(worst_diff, res["min_diff_margin"])
+            if not res["pass"] or res["max_sum_dev"] > 1e-10 \
+                    or res["min_diff_margin"] < -1e-10:
+                failures += 1
+    return {"checks": checks, "failures": failures, "worst_j_drop": worst_j,
+            "worst_sum_dev": worst_sum, "worst_diff_margin": worst_diff,
+            "pass": failures == 0}
 
 
 def iterate_polarizations(f: SphericalField, reflections_seed: int, steps: int,

@@ -12,8 +12,10 @@ from mostinf.cube import (
     _popcount,
     and_k,
     dictator,
+    hamming_ball,
     lex,
     mutual_information_direct,
+    symmetric_mi,
 )
 from mostinf.entropy import binary_entropy, gaussian_isoperimetric, osw_bound
 from mostinf.search import (
@@ -244,6 +246,18 @@ class TestBallProfile:
             b = boundary[0]
             assert np.all(lv[:b] == 1.0)
             assert np.all(lv[b + 1:] == 0.0)
+
+
+    def test_fractional_profile_is_a_lower_bound(self):
+        # h is concave and the channel commutes with coordinate
+        # permutations, so averaging the boundary level can only lose
+        # information: the profile's MI is at most the Boolean ball's.
+        for n in range(10, 16):
+            for k in range(2, 6):
+                ones = 1 << (n - k)
+                profile = ball_profile_for_mean(n, ones / 2 ** n)
+                assert symmetric_mi(profile, 0.1) <= \
+                    mutual_information_direct(hamming_ball(n, ones), 0.1)
 
 
 class TestLexFailure:

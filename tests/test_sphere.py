@@ -18,6 +18,7 @@ from mostinf.sphere import (
     functional_J,
     iterate_polarizations,
     kernel_apply,
+    polarization_check,
     polarization_inequality_check,
     polarization_pointwise_check,
     polarize,
@@ -304,6 +305,25 @@ class TestPolarizationInequality:
                 pw = polarization_pointwise_check(f, sigma, kernel)
                 assert pw["max_sum_dev"] <= 1e-10
                 assert pw["min_diff_margin"] >= -1e-10
+
+    def test_library_check_matches_per_reflection_checks(self):
+        psi = PsiSpec.neg_binary_entropy()
+        out = polarization_check(16, 0.6, psi, 3, seed=5)
+        g = circle_grid(16)
+        kernel = KernelSpec.poisson(0.6, 2)
+        rng = np.random.default_rng(5)
+        worst_j = worst_sum = worst_diff = 0.0
+        for _ in range(3):
+            f = random_01_field(g, rng)
+            for sigma in g.reflections:
+                res = polarization_inequality_check(f, sigma, kernel, psi)
+                pw = polarization_pointwise_check(f, sigma, kernel)
+                worst_j = max(worst_j, res["j_before"] - res["j_after"])
+                worst_sum = max(worst_sum, pw["max_sum_dev"])
+                worst_diff = min(worst_diff, pw["min_diff_margin"])
+        assert out == {"checks": 45, "failures": 0, "worst_j_drop": worst_j,
+                       "worst_sum_dev": worst_sum,
+                       "worst_diff_margin": worst_diff, "pass": True}
 
     def test_monte_carlo_point_set(self):
         ps = sphere_sample(3, 600, seed=21)
