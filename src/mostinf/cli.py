@@ -155,12 +155,10 @@ def _hex_table(n: int, table_int: int) -> str:
 
 
 def _cmd_boolean_verify(args):
-    if args.n == 5:
-        report = search.scan_n5(args.alpha, checkpoint=args.checkpoint,
-                                chunk_size=args.chunk,
-                                max_chunks=args.max_chunks)
-    else:
-        report = search.exhaustive_verify(args.n, args.alpha)
+    report = search.exhaustive_verify(args.n, args.alpha,
+                                      checkpoint=args.checkpoint,
+                                      chunk_size=args.chunk,
+                                      max_chunks=args.max_chunks)
     rec = RunRecord("boolean verify",
                     {"n": args.n, "alpha": args.alpha}, args.seed)
     rec.add("max_mi", report.max_mi)
@@ -172,7 +170,7 @@ def _cmd_boolean_verify(args):
                                    for t in report.argmax[:16]))
     rec.add("argmax_is_dictators", report.argmax_is_dictators)
     dict_expected = 0.0 < args.alpha < 0.5
-    if args.n == 5 and report.functions_scanned < (1 << 32):
+    if report.functions_scanned < 1 << (1 << args.n):
         # Unfinished chunked scan: a bound violation fails outright, but an
         # incomplete pass certifies nothing either way.
         rec.add("scan_complete", False)
@@ -279,33 +277,11 @@ def _cmd_boolean_lex_failure(args):
 
 
 def _cmd_boolean_taylor(args):
-    rng = np.random.default_rng(args.seed)
-    worst_rel = 0.0
-    failures = 0
-    done = 0
-    while done < args.trials:
-        bits = rng.integers(0, 2, 1 << args.n).astype(np.uint8)
-        if bits.min() == bits.max():
-            bits[0] ^= 1
-        f = cube.BooleanFunction(args.n, bits)
-        # Parity-like draws with zero degree-1 weight have no rho^2 term
-        # to compare against; resample them.
-        if cube.degree_weight(cube.fwht(f), 1) == 0.0:
-            continue
-        done += 1
-        measured, predicted = cube.taylor_curvature_check(f, rho=1e-3)
-        err = abs(measured - predicted)
-        tol = 0.01 * abs(predicted) + 1e-8
-        if err > tol:
-            failures += 1
-        if abs(predicted) > 0:
-            worst_rel = max(worst_rel, err / abs(predicted))
+    metrics = cube.taylor_check(args.n, args.trials, args.seed)
     rec = RunRecord("boolean taylor",
                     {"n": args.n, "trials": args.trials}, args.seed)
-    rec.add("trials", args.trials)
-    rec.add("failures", failures)
-    rec.add("worst_rel_err", worst_rel)
-    rec.passed = failures == 0
+    rec.passed = metrics.pop("pass")
+    rec.add_all(metrics)
     return rec, None
 
 
@@ -360,22 +336,18 @@ def _cmd_sphere_mc(args):
     f = sphere.SphericalField(
         ps, rng.integers(0, 2, args.points).astype(float))
     kernel = sphere.KernelSpec.poisson(args.rho, args.dim)
-    psi = PsiSpec.square()
-    sigma = ps.reflections[0]
-    res = sphere.polarization_inequality_check(f, sigma, kernel, psi)
-    pw = sphere.polarization_pointwise_check(f, sigma, kernel)
+    res = sphere.polarization_inequality_check(f, ps.reflections[0], kernel,
+                                               PsiSpec.square())
     mean_proj = float(np.mean(ps.points @ ps.pole))
     rec = RunRecord("sphere mc",
                     {"dim": args.dim, "points": args.points,
                      "rho": args.rho}, args.seed)
     rec.add("weight_sum", float(np.sum(ps.weights)))
     rec.add("mean_pole_projection", mean_proj)
-    rec.add("j_before", res["j_before"])
-    rec.add("j_after", res["j_after"])
-    rec.add("max_sum_dev", pw["max_sum_dev"])
-    rec.add("min_diff_margin", pw["min_diff_margin"])
-    rec.passed = bool(res["pass"] and pw["max_sum_dev"] <= 1e-10
-                      and pw["min_diff_margin"] >= -1e-10
+    for key in ("j_before", "j_after", "max_sum_dev", "min_diff_margin"):
+        rec.add(key, res[key])
+    rec.passed = bool(res["pass"] and res["max_sum_dev"] <= 1e-10
+                      and res["min_diff_margin"] >= -1e-10
                       and abs(mean_proj) <= 3.0 / math.sqrt(args.points))
     return rec, None
 

@@ -49,6 +49,7 @@ __all__ = [
     "symmetric_mi",
     "hamming_ball_w1_exact",
     "c2_coefficient",
+    "taylor_check",
     "perfect_code_mi",
     "hamming_code_decoder",
     "parse_truth_table",
@@ -71,6 +72,13 @@ def _popcount(a) -> np.ndarray:
     return ((v * np.uint32(0x01010101)) >> 24).astype(np.int64)
 
 
+def _table_size(n: int) -> int:
+    """2^n after BooleanFunction's check of n, before any 2^n allocation."""
+    if not 1 <= n <= MAX_TRANSFORM_N:
+        raise ValueError(f"dimension {n} outside 1..{MAX_TRANSFORM_N}")
+    return 1 << n
+
+
 def subset_mask(coords, n: int) -> int:
     """Bitmask of the coordinate subset, coordinate i at bit (n - i)."""
     m = 0
@@ -87,12 +95,11 @@ class BooleanFunction:
     __slots__ = ("n", "convention", "_packed", "_bits")
 
     def __init__(self, n: int, bits, convention: str = ZERO_ONE):
-        if not 1 <= n <= MAX_TRANSFORM_N:
-            raise ValueError(f"dimension {n} outside 1..{MAX_TRANSFORM_N}")
+        size = _table_size(n)
         if convention not in (ZERO_ONE, PLUS_MINUS):
             raise ValueError(f"unknown value convention {convention!r}")
         b = np.asarray(bits, dtype=np.uint8)
-        if b.shape != (1 << n,):
+        if b.shape != (size,):
             raise ValueError(f"table length {b.size} != 2^{n}")
         if np.any(b > 1):
             raise ValueError("table entries must be 0/1")
@@ -365,7 +372,7 @@ def dictator(n: int, i: int) -> BooleanFunction:
     """f(x) = x_i in the +/-1 convention."""
     if not 1 <= i <= n:
         raise ValueError(f"coordinate {i} outside 1..{n}")
-    j = np.arange(1 << n)
+    j = np.arange(_table_size(n))
     bits = ((j >> (n - i)) & 1).astype(np.uint8)
     return BooleanFunction(n, bits, PLUS_MINUS)
 
@@ -374,14 +381,14 @@ def and_k(n: int, k: int) -> BooleanFunction:
     """Indicator of x_1 = ... = x_k = +1 (0/1 convention)."""
     if not 1 <= k <= n:
         raise ValueError(f"arity {k} outside 1..{n}")
-    j = np.arange(1 << n)
+    j = np.arange(_table_size(n))
     bits = (j >> (n - k) == 0).astype(np.uint8)
     return BooleanFunction(n, bits, ZERO_ONE)
 
 
 def lex(n: int, count: int) -> BooleanFunction:
     """Indicator of the first ``count`` indices (0/1 convention)."""
-    if not 0 <= count <= (1 << n):
+    if not 0 <= count <= _table_size(n):
         raise ValueError(f"count {count} outside 0..2^{n}")
     bits = (np.arange(1 << n) < count).astype(np.uint8)
     return BooleanFunction(n, bits, ZERO_ONE)
@@ -389,7 +396,7 @@ def lex(n: int, count: int) -> BooleanFunction:
 
 def hamming_ball(n: int, ones_count: int) -> BooleanFunction:
     """Ball around the all-(+1) point, boundary ties by ascending index."""
-    if not 0 <= ones_count <= (1 << n):
+    if not 0 <= ones_count <= _table_size(n):
         raise ValueError(f"ones_count {ones_count} outside 0..2^{n}")
     order = np.argsort(_popcount(np.arange(1 << n)), kind="stable")
     bits = np.zeros(1 << n, dtype=np.uint8)
@@ -544,6 +551,35 @@ def taylor_curvature_check(f: BooleanFunction, rho: float = 1e-3):
     measured = (avg_h - binary_entropy(mu)) / rho ** 2
     predicted = c2_coefficient(mu) * w1
     return measured, predicted
+
+
+def taylor_check(n: int, trials: int, seed: int) -> dict:
+    """``taylor_curvature_check`` at rho = 1e-3 on ``trials`` random tables
+    from ``seed``: failures (error above 1% of the prediction plus 1e-8),
+    the worst relative error, and the verdict under "pass"."""
+    if trials < 0:
+        raise ValueError(f"taylor check needs trials >= 0, got {trials}")
+    size = _table_size(n)
+    rng = np.random.default_rng(seed)
+    worst_rel = 0.0
+    failures = done = 0
+    while done < trials:
+        bits = rng.integers(0, 2, size).astype(np.uint8)
+        if bits.min() == bits.max():
+            bits[0] ^= 1
+        f = BooleanFunction(n, bits)
+        measured, predicted = taylor_curvature_check(f, rho=1e-3)
+        # Parity-like draws with zero degree-1 weight (so zero prediction)
+        # have no rho^2 term to compare against; resample them.
+        if predicted == 0.0:
+            continue
+        done += 1
+        err = abs(measured - predicted)
+        if err > 0.01 * abs(predicted) + 1e-8:
+            failures += 1
+        worst_rel = max(worst_rel, err / abs(predicted))
+    return {"trials": trials, "failures": failures,
+            "worst_rel_err": worst_rel, "pass": failures == 0}
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,13 @@ def binary_entropy(beta):
     """Entropy in bits of a {0,1} coin with bias ``beta``.
 
     Accepts a scalar or ndarray; endpoints use the continuity convention
-    0*log(1/0) = 0.
+    0*log(1/0) = 0 and give +0.0.
     """
     b = np.asarray(beta, dtype=float)
     if np.any(b < 0.0) or np.any(b > 1.0):
         raise ValueError(f"binary_entropy: bias outside [0, 1]: {beta!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.where(b > 0.0, b * np.log2(b), 0.0)
+        out = 0.0 - np.where(b > 0.0, b * np.log2(b), 0.0)
         out -= np.where(b < 1.0, (1.0 - b) * np.log2(1.0 - b), 0.0)
     if np.isscalar(beta) or np.ndim(beta) == 0:
         return float(out)

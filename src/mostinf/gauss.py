@@ -199,8 +199,8 @@ class LimitParams:
     n: int
 
     def __post_init__(self):
-        if self.N < self.n + 4:
-            raise ValueError("need N >= n + 4 for a positive radius")
+        if self.n < 1 or self.N < self.n + 4:
+            raise ValueError("need 1 <= n <= N - 4 for a positive radius")
 
     @property
     def R(self) -> float:
@@ -414,9 +414,9 @@ def factor_check(params: LimitParams, rho: float, trials: int, samples: int,
     test q_rho = U_{rho,N} x Poisson factor, 100,000 random ball pairs with
     their own rho test A's lower bound and r <= rho, and ``samples`` draws
     each estimate the factor's mass and the decomposition ratio."""
-    if params.n < 1 or trials < 0 or samples < 2:
-        raise ValueError("factor check needs n >= 1, trials >= 0, samples "
-                         f">= 2; got {params.n}, {trials}, {samples}")
+    if trials < 0 or samples < 2:
+        raise ValueError("factor check needs trials >= 0 and samples >= 2; "
+                         f"got {trials}, {samples}")
     rho = _check_rho(rho)
     rng = np.random.default_rng(seed)
     n, R, d = params.n, params.R, params.N - params.n

@@ -7,10 +7,10 @@ distance d from y and w_d = alpha^d (1 - alpha)^(n - d).  The count vector
 (c_0..c_n) takes at most 17,424 values (n = 5), so one exact float32 matmul
 gives each y a mixed-radix code, one gather reads the binary entropy of
 that code's smoothed value from a cached table, and one row mean finishes
-the Jensen gap.  The full scan covers every truth table up to n = 4 (65536
-functions) in milliseconds.  n = 5 is an optional chunked scan with an
-atomically replaced, resumable checkpoint; it halves the raw 2^32 space
-through output complementation and reports its own method.
+the Jensen gap.  One chunked driver, ``exhaustive_verify``, scans all
+tables for n = 2..5 through their even table integers (a complement has the
+same value), with a resumable checkpoint at every n: n <= 4 takes
+milliseconds in one chunk, n = 5 (2^31 representatives) minutes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import permutations
 from pathlib import Path
 
@@ -50,7 +50,6 @@ __all__ = [
     "canonical_form",
     "lex_failure_scan",
     "ball_profile_for_mean",
-    "scan_n5",
 ]
 
 ARGMAX_CAP = 64
@@ -121,13 +120,6 @@ def _batched_mi(tables: np.ndarray, alpha: float) -> np.ndarray:
     return binary_entropy(mu) - np.mean(H[codes], axis=-1)
 
 
-def _dictator_table_ints(n: int) -> set[int]:
-    """Table integers of the 2n one-coordinate functions (both signs)."""
-    tables = {dictator(n, i).table_int() for i in range(1, n + 1)}
-    full = (1 << (1 << n)) - 1
-    return tables | {t ^ full for t in tables}
-
-
 def _bits_matrix(table_ints: np.ndarray, size: int) -> np.ndarray:
     """0/1 rows of the tables, table bit j in column j (uint8)."""
     raw = np.ascontiguousarray(table_ints, dtype="<i8").view(np.uint8)
@@ -135,19 +127,14 @@ def _bits_matrix(table_ints: np.ndarray, size: int) -> np.ndarray:
                          bitorder="little")
 
 
-def exhaustive_verify(n: int, alpha: float) -> SearchReport:
-    """Scan all 2^(2^n) truth tables and compare the best against 1 - h(alpha)."""
-    if not 2 <= n <= 4:
-        raise ValueError(f"full scan supports 2 <= n <= 4, got {n}")
-    alpha = float(alpha)
-    size = 1 << n
-    count = 1 << size
-    tables = _bits_matrix(np.arange(count, dtype=np.int64), size)
-    mi = _batched_mi(tables, alpha)
-    max_mi = float(np.max(mi))
-    winners = np.nonzero(mi >= max_mi - TIE_TOL)[0]
-    argmax = [int(t) for t in winners[:ARGMAX_CAP]]
+def _scan_report(n: int, alpha: float, max_mi: float, argmax: list[int],
+                 scanned: int, finished: bool = True) -> SearchReport:
+    """The verdict every scan shares: max_mi against the dictator bound
+    1 - h(alpha), and whether the least winners are exactly the 2n
+    dictators of both signs (then there are no others: 2n < ARGMAX_CAP)."""
     bound = 1.0 - binary_entropy(alpha)
+    dictators = {dictator(n, i).table_int() for i in range(1, n + 1)}
+    dictators |= {t ^ ((1 << (1 << n)) - 1) for t in dictators}
     return SearchReport(
         n=n,
         alpha=alpha,
@@ -155,10 +142,9 @@ def exhaustive_verify(n: int, alpha: float) -> SearchReport:
         max_mi=max_mi,
         argmax=argmax,
         bound=bound,
-        bound_satisfied=bool(max_mi <= bound + 1e-12),
-        functions_scanned=count,
-        argmax_is_dictators=set(argmax) == _dictator_table_ints(n)
-        and winners.size == 2 * n,
+        bound_satisfied=bool(finished and max_mi <= bound + 1e-12),
+        functions_scanned=scanned,
+        argmax_is_dictators=finished and set(argmax) == dictators,
     )
 
 
@@ -172,33 +158,18 @@ def fixed_mean_max(n: int, m: int, alpha: float) -> SearchReport:
     alpha = float(alpha)
     all_ints = np.arange(1 << size, dtype=np.int64)
     sel = all_ints[_popcount(all_ints) == m]
-    tables = _bits_matrix(sel, size)
-    mi = _batched_mi(tables, alpha)
+    mi = _batched_mi(_bits_matrix(sel, size), alpha)
     max_mi = float(np.max(mi))
     winners = sel[mi >= max_mi - TIE_TOL]
-    lex_int = lex(n, m).table_int()
-    return SearchReport(
-        n=n,
-        alpha=alpha,
-        constraint=m,
-        max_mi=max_mi,
-        argmax=[int(t) for t in winners[:ARGMAX_CAP]],
-        bound=1.0 - binary_entropy(alpha),
-        bound_satisfied=bool(max_mi <= 1.0 - binary_entropy(alpha) + 1e-12),
-        functions_scanned=int(sel.size),
-        argmax_is_dictators=set(int(t) for t in winners) ==
-        _dictator_table_ints(n),
-        lex_attains=bool(lex_int in set(int(t) for t in winners)),
-    )
+    report = _scan_report(n, alpha, max_mi, winners[:ARGMAX_CAP].tolist(),
+                          int(sel.size))
+    return replace(report, constraint=m,
+                   lex_attains=bool(lex(n, m).table_int() in winners))
 
 
-_INDEX_MAP_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _orbit_index_maps(n: int) -> list[np.ndarray]:
     """Source-index maps for every coordinate permutation, before negation."""
-    if n in _INDEX_MAP_CACHE:
-        return _INDEX_MAP_CACHE[n]
     j = np.arange(1 << n)
     planes = [(j >> (n - i)) & 1 for i in range(1, n + 1)]
     maps = []
@@ -207,7 +178,6 @@ def _orbit_index_maps(n: int) -> list[np.ndarray]:
         for i, target in enumerate(perm, start=1):
             s |= planes[i - 1] << (n - target)
         maps.append(s)
-    _INDEX_MAP_CACHE[n] = maps
     return maps
 
 
@@ -310,86 +280,75 @@ def _save_checkpoint(path: Path, state: dict) -> None:
     os.replace(tmp, path)
 
 
-def _report_progress(done: int, first: int, total: int, chunk_size: int,
-                     elapsed: float) -> None:
+def _report_progress(n: int, done: int, first: int, total: int,
+                     chunk_size: int, elapsed: float) -> None:
     """One stderr line: chunks done, raw tables per second, time left."""
     rate = 2 * (done - first) / elapsed if elapsed > 0.0 else 0.0
     eta = f"{2 * (total - done) / rate:.0f} s" if rate > 0.0 else "unknown"
     chunks = f"{math.ceil(done / chunk_size)}/{math.ceil(total / chunk_size)}"
-    print(f"scan_n5: {chunks} chunks, {rate:.4g} tables/s, ETA {eta}",
+    print(f"scan_n{n}: {chunks} chunks, {rate:.4g} tables/s, ETA {eta}",
           file=sys.stderr, flush=True)
 
 
-def scan_n5(alpha: float, checkpoint: str | None = None,
-            chunk_size: int = 1 << 16,
-            max_chunks: int | None = None) -> SearchReport:
-    """Optional long-running n = 5 scan.
+def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
+                      chunk_size: int = 1 << 16,
+                      max_chunks: int | None = None) -> SearchReport:
+    """Scan all 2^(2^n) truth tables and compare the best against 1 - h(alpha).
 
-    Output complement preserves mutual information, so only even table
-    integers (entry 0 equal to 0) are enumerated: 2^31 representatives of
-    the 2^32 raw tables.  Progress is checkpointed as plain JSON keyed by a
-    table-index watermark, so an interrupted scan resumes where it left
-    off; the file is replaced atomically after every chunk.  Progress lines
-    (chunks done, tables per second, ETA) go to stderr at most every
-    ``PROGRESS_EVERY_S`` seconds, plus one when the call ends.  This is a
-    brute-force certification of the n = 5 bound; no claim is made about
-    how larger published verifications were organized.
+    Even table integers are scanned ``chunk_size`` at a time; argmax holds
+    the least ``ARGMAX_CAP`` winners, complements included.  ``checkpoint``
+    is JSON keyed by a table-index watermark, replaced after every chunk;
+    ``max_chunks`` ends the call early, and an unfinished scan certifies
+    nothing.  A scan of several chunks prints progress (chunks, tables/s,
+    ETA) to stderr at most every ``PROGRESS_EVERY_S`` s and when it ends.
     """
+    if not 2 <= n <= MAX_KERNEL_N:
+        raise ValueError(f"full scan supports 2 <= n <= {MAX_KERNEL_N}, "
+                         f"got {n}")
+    if chunk_size < 1 or (max_chunks is not None and max_chunks < 0):
+        raise ValueError(f"scan needs chunk_size >= 1 and max_chunks >= 0, "
+                         f"got {chunk_size} and {max_chunks}")
     alpha = float(alpha)
-    n, size = 5, 32
+    size = 1 << n
+    full = (1 << size) - 1
     total_reps = 1 << (size - 1)
     state = {"n": n, "alpha": alpha, "next": 0, "max_mi": -1.0,
              "witnesses": [], "scanned": 0}
     path = Path(checkpoint) if checkpoint else None
     if path is not None and path.exists():
         state = _load_checkpoint(path, n, alpha)
-    chunks_done = 0
     first = state["next"]
+    end = total_reps if max_chunks is None \
+        else min(total_reps, first + max_chunks * chunk_size)
+    progress = total_reps > chunk_size
     start = last_report = time.monotonic()
-    while state["next"] < total_reps:
-        if max_chunks is not None and chunks_done >= max_chunks:
-            break
-        lo = state["next"]
-        hi = min(lo + chunk_size, total_reps)
+    for lo in range(first, end, chunk_size):
+        hi = min(lo + chunk_size, end)
         reps = np.arange(lo, hi, dtype=np.int64) << 1  # even table ints
         mi = _batched_mi(_bits_matrix(reps, size), alpha)
         chunk_max = float(np.max(mi))
         if chunk_max > state["max_mi"] + TIE_TOL:
             state["max_mi"] = chunk_max
             state["witnesses"] = []
-        if chunk_max >= state["max_mi"] - TIE_TOL:
-            hits = reps[mi >= state["max_mi"] - TIE_TOL]
-            state["witnesses"] = sorted(
-                set(state["witnesses"]) | set(int(t) for t in hits)
-            )[:ARGMAX_CAP]
-        state["next"] = int(hi)
-        state["scanned"] = 2 * int(hi)
-        chunks_done += 1
+        hits = reps[mi >= state["max_mi"] - TIE_TOL]
+        # The least hits and the complements of the greatest ones.
+        near = np.concatenate((hits[:ARGMAX_CAP], hits[-ARGMAX_CAP:] ^ full))
+        state["witnesses"] = sorted(
+            set(state["witnesses"]) | set(near.tolist()))[:ARGMAX_CAP]
+        state["next"] = hi
+        state["scanned"] = 2 * hi
         if path is not None:
             _save_checkpoint(path, state)
         now = time.monotonic()
-        if now - last_report >= PROGRESS_EVERY_S:
-            _report_progress(state["next"], first, total_reps, chunk_size,
-                             now - start)
+        if progress and now - last_report >= PROGRESS_EVERY_S:
+            _report_progress(n, hi, first, total_reps, chunk_size, now - start)
             last_report = now
-    if chunks_done:
-        _report_progress(state["next"], first, total_reps, chunk_size,
+    if progress and end > first:
+        _report_progress(n, end, first, total_reps, chunk_size,
                          time.monotonic() - start)
-    finished = state["next"] >= total_reps
-    full_mask = (1 << size) - 1
+    # A checkpoint may hold even witnesses only.
     witnesses = sorted(
         set(state["witnesses"])
-        | set(t ^ full_mask for t in state["witnesses"]))[:ARGMAX_CAP]
-    bound = 1.0 - binary_entropy(alpha)
-    return SearchReport(
-        n=n,
-        alpha=alpha,
-        constraint=None,
-        max_mi=state["max_mi"],
-        argmax=witnesses,
-        bound=bound,
-        bound_satisfied=bool(finished and state["max_mi"] <= bound + 1e-12),
-        functions_scanned=state["scanned"],
-        argmax_is_dictators=finished
-        and set(witnesses) == _dictator_table_ints(n),
-    )
+        | set(t ^ full for t in state["witnesses"]))[:ARGMAX_CAP]
+    return _scan_report(n, alpha, state["max_mi"], witnesses,
+                        state["scanned"], state["next"] >= total_reps)

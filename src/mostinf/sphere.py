@@ -244,8 +244,8 @@ def sphere_sample(n: int, m: int, seed: int,
                   sigma: Reflection | None = None) -> SpherePointSet:
     """Monte Carlo point set on the unit sphere in R^n, closed under one
     reflection: M/2 uniform points plus their mirror images."""
-    if m % 2 != 0:
-        raise ValueError("sample size must be even")
+    if m < 2 or m % 2 != 0:
+        raise ValueError(f"sample size must be even and positive, got {m}")
     if n < 3:
         raise ValueError("use circle_grid for the circle")
     pole = np.zeros(n)
@@ -359,9 +359,9 @@ def _reflection_checks(f: SphericalField, sigmas, kernel: KernelSpec,
 def polarization_inequality_check(f: SphericalField, sigma: Reflection,
                                   kernel: KernelSpec, psi: PsiSpec,
                                   tol: float = 1e-10) -> dict:
-    """J(f) <= J(f^sigma) up to float tolerance."""
-    res = next(_reflection_checks(f, [sigma], kernel, psi, tol))
-    return {key: res[key] for key in ("j_before", "j_after", "pass")}
+    """J(f) <= J(f^sigma) up to float tolerance, with the two-point metrics
+    of ``polarization_pointwise_check`` from the same smoothing pass."""
+    return next(_reflection_checks(f, [sigma], kernel, psi, tol))
 
 
 def polarization_pointwise_check(f: SphericalField, sigma: Reflection,
@@ -382,6 +382,8 @@ def polarization_check(grid_m: int, rho: float, psi: PsiSpec, trials: int,
     reflection of each with the Poisson kernel at ``rho``.  A check fails
     when J drops or an identity is off by more than 1e-10.
     """
+    if trials < 0:
+        raise ValueError(f"trial count {trials} is negative")
     grid = circle_grid(grid_m)
     kernel = KernelSpec.poisson(rho, 2)
     rng = np.random.default_rng(seed)
@@ -413,6 +415,8 @@ def iterate_polarizations(f: SphericalField, reflections_seed: int, steps: int,
     ps = f.pointset
     if not ps.reflections:
         raise ValueError("point set supports no reflections")
+    if steps < 0:
+        raise ValueError(f"step count {steps} is negative")
     target = rearrange(f).values
     rng = np.random.default_rng(reflections_seed)
     record_j = kernel is not None and psi is not None

@@ -269,6 +269,20 @@ class TestDispatchErrors:
          "--multi", "2"],
         ["gauss", "factor-check", "--bigN", "9", "--n", "2",
          "--samples", "1"],
+        ["boolean", "family", "--kind", "majority", "--n", "41",
+         "--alpha", "0.1"],
+        ["boolean", "taylor", "--n", "45"],
+        ["sphere", "mc", "--dim", "4", "--points", "0"],
+        ["boolean", "taylor", "--n", "4", "--trials", "-1"],
+        ["sphere", "rearrange", "--grid", "16", "--rho", "0.5",
+         "--steps", "-1"],
+        ["sphere", "polarize-check", "--grid", "16", "--rho", "0.3",
+         "--trials", "-3"],
+        ["gauss", "kernel-limit", "--n", "0", "--rho", "0.5",
+         "--bigN", "50,200"],
+        ["boolean", "verify", "--n", "5", "--alpha", "0.1",
+         "--max-chunks", "-1"],
+        ["boolean", "verify", "--n", "4", "--alpha", "0.1", "--chunk", "0"],
     ])
     def test_bad_input_exit_2_one_line(self, capsys, tmp_path, monkeypatch,
                                        argv):
@@ -291,7 +305,7 @@ class TestDispatchErrors:
         assert str(ckpt) in capsys.readouterr().err
 
     def test_numerical_guard_is_not_a_usage_error(self, monkeypatch):
-        def guard(n, alpha):
+        def guard(*args, **kwargs):
             raise AssertionError("smoothed table escaped the convex hull")
         monkeypatch.setattr("mostinf.search.exhaustive_verify", guard)
         with pytest.raises(AssertionError):

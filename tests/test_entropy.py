@@ -41,6 +41,14 @@ class TestBinaryEntropy:
     def test_limit_convention(self, endpoint):
         assert binary_entropy(endpoint) == 0.0
 
+    @pytest.mark.parametrize("endpoint", [0, 1, 0.0, 1.0])
+    def test_endpoints_are_positive_zero(self, endpoint):
+        # Records print -0 for a negative zero; only +0.0 is allowed.
+        assert math.copysign(1.0, binary_entropy(endpoint)) == 1.0
+        out = binary_entropy(np.array([endpoint, endpoint, 0.5]))
+        assert np.all(np.copysign(1.0, out) == 1.0)
+        assert out[0] == 0.0 and out[2] == 1.0
+
     def test_quarter(self):
         assert binary_entropy(0.25) == pytest.approx(H_QUARTER, abs=1e-14)
 

@@ -26,7 +26,6 @@ from mostinf.search import (
     exhaustive_verify,
     fixed_mean_max,
     lex_failure_scan,
-    scan_n5,
 )
 
 
@@ -139,6 +138,45 @@ class TestExhaustiveVerify:
             exhaustive_verify(1, 0.3)
         with pytest.raises(ValueError):
             exhaustive_verify(6, 0.3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.37, 0.5])
+    def test_matches_scan_of_every_table(self, n, alpha):
+        # Oracle: every table, complements included, in one kernel call.
+        mi = _batched_mi(all_tables(n), alpha)
+        max_mi = float(np.max(mi))
+        winners = np.nonzero(mi >= max_mi - search.TIE_TOL)[0]
+        full = (1 << (1 << n)) - 1
+        dictators = {dictator(n, i).table_int() for i in range(1, n + 1)}
+        dictators |= {t ^ full for t in dictators}
+        report = exhaustive_verify(n, alpha)
+        assert report.max_mi == max_mi
+        assert report.argmax == winners[:search.ARGMAX_CAP].tolist()
+        assert report.functions_scanned == 1 << (1 << n)
+        assert report.argmax_is_dictators == \
+            (set(winners.tolist()) == dictators)
+        assert report.argmax_is_dictators == (0.0 < alpha < 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.37, 0.5])
+    def test_chunked_resume_equals_one_shot(self, tmp_path, alpha):
+        ckpt = str(tmp_path / "scan.json")
+        for _ in range(7):  # 32 chunks of 1024, at most 5 per call
+            report = exhaustive_verify(4, alpha, checkpoint=ckpt,
+                                       chunk_size=1024, max_chunks=5)
+            assert report.bound_satisfied == (
+                report.functions_scanned == 1 << 16)
+        assert report == exhaustive_verify(4, alpha)
+
+    def test_one_chunk_scan_is_quiet(self, capsys):
+        for n in (2, 3, 4):
+            exhaustive_verify(n, 0.2)
+        assert capsys.readouterr() == ("", "")
+
+    def test_bad_chunking_rejected(self):
+        with pytest.raises(ValueError):
+            exhaustive_verify(4, 0.1, chunk_size=0)
+        with pytest.raises(ValueError):
+            exhaustive_verify(4, 0.1, max_chunks=-1)
 
 
 class TestFixedMeanMax:
@@ -286,40 +324,45 @@ class TestLexFailure:
 class TestScanN5:
     def test_chunked_slice_and_resume(self, tmp_path):
         ckpt = tmp_path / "scan.json"
-        first = scan_n5(0.3, checkpoint=str(ckpt), chunk_size=2048,
-                        max_chunks=2)
+        first = exhaustive_verify(5, 0.3, checkpoint=str(ckpt),
+                                  chunk_size=2048, max_chunks=2)
         assert first.functions_scanned == 2 * 2 * 2048
         assert not first.bound_satisfied  # unfinished scan never certifies
-        resumed = scan_n5(0.3, checkpoint=str(ckpt), chunk_size=2048,
-                          max_chunks=1)
+        resumed = exhaustive_verify(5, 0.3, checkpoint=str(ckpt),
+                                    chunk_size=2048, max_chunks=1)
         assert resumed.functions_scanned == 2 * 3 * 2048
-        fresh = scan_n5(0.3, chunk_size=2048 * 3, max_chunks=1)
+        fresh = exhaustive_verify(5, 0.3, chunk_size=2048 * 3, max_chunks=1)
         assert resumed.max_mi == pytest.approx(fresh.max_mi, abs=1e-15)
 
     def test_alpha_mismatch_rejected(self, tmp_path):
         ckpt = tmp_path / "scan.json"
-        scan_n5(0.3, checkpoint=str(ckpt), chunk_size=1024, max_chunks=1)
+        exhaustive_verify(5, 0.3, checkpoint=str(ckpt), chunk_size=1024,
+                          max_chunks=1)
         with pytest.raises(ValueError):
-            scan_n5(0.2, checkpoint=str(ckpt), chunk_size=1024, max_chunks=1)
+            exhaustive_verify(5, 0.2, checkpoint=str(ckpt), chunk_size=1024,
+                              max_chunks=1)
 
     def test_checkpoint_records_n_and_rejects_other_n(self, tmp_path):
         ckpt = tmp_path / "scan.json"
-        scan_n5(0.3, checkpoint=str(ckpt), chunk_size=1024, max_chunks=1)
+        exhaustive_verify(5, 0.3, checkpoint=str(ckpt), chunk_size=1024,
+                          max_chunks=1)
         state = json.loads(ckpt.read_text())
         assert state["n"] == 5 and state["alpha"] == 0.3
         state["n"] = 4
         ckpt.write_text(json.dumps(state))
         with pytest.raises(ValueError, match="n=4"):
-            scan_n5(0.3, checkpoint=str(ckpt), chunk_size=1024, max_chunks=1)
+            exhaustive_verify(5, 0.3, checkpoint=str(ckpt), chunk_size=1024,
+                              max_chunks=1)
 
     def test_stale_temp_file_does_not_change_resume(self, tmp_path):
         ckpt = tmp_path / "scan.json"
-        scan_n5(0.3, checkpoint=str(ckpt), chunk_size=2048, max_chunks=2)
+        exhaustive_verify(5, 0.3, checkpoint=str(ckpt), chunk_size=2048,
+                          max_chunks=2)
         stale = tmp_path / "scan.json.tmp"
         stale.write_text('{"n": 5, "alpha": 0.3, "next": 99')
-        resumed = scan_n5(0.3, checkpoint=str(ckpt), chunk_size=2048,
-                          max_chunks=1)
-        fresh = scan_n5(0.3, chunk_size=2048 * 3, max_chunks=1)
+        resumed = exhaustive_verify(5, 0.3, checkpoint=str(ckpt),
+                                    chunk_size=2048, max_chunks=1)
+        fresh = exhaustive_verify(5, 0.3, chunk_size=2048 * 3, max_chunks=1)
         assert resumed.functions_scanned == fresh.functions_scanned
         assert resumed.max_mi == fresh.max_mi
         assert resumed.argmax == fresh.argmax
@@ -327,17 +370,36 @@ class TestScanN5:
 
     def test_truncated_checkpoint_is_one_line_value_error(self, tmp_path):
         ckpt = tmp_path / "scan.json"
-        scan_n5(0.3, checkpoint=str(ckpt), chunk_size=1024, max_chunks=1)
+        exhaustive_verify(5, 0.3, checkpoint=str(ckpt), chunk_size=1024,
+                          max_chunks=1)
         text = ckpt.read_text()
         ckpt.write_text(text[: len(text) // 2])
         with pytest.raises(ValueError) as exc:
-            scan_n5(0.3, checkpoint=str(ckpt), chunk_size=1024, max_chunks=1)
+            exhaustive_verify(5, 0.3, checkpoint=str(ckpt), chunk_size=1024,
+                              max_chunks=1)
         assert type(exc.value) is ValueError
         assert str(ckpt) in str(exc.value)
         assert "\n" not in str(exc.value)
 
+    def test_resumes_a_checkpoint_with_even_witnesses_only(self, tmp_path):
+        # Checkpoints written before complements were stored hold the
+        # least even winners only; the report adds their complements.
+        ckpt = tmp_path / "scan.json"
+        first = exhaustive_verify(5, 0.3, checkpoint=str(ckpt),
+                                  chunk_size=2048, max_chunks=2)
+        state = json.loads(ckpt.read_text())
+        state["witnesses"] = [t for t in state["witnesses"] if t % 2 == 0]
+        ckpt.write_text(json.dumps(state))
+        resumed = exhaustive_verify(5, 0.3, checkpoint=str(ckpt),
+                                    chunk_size=2048, max_chunks=0)
+        assert resumed == first
+        resumed = exhaustive_verify(5, 0.3, checkpoint=str(ckpt),
+                                    chunk_size=2048, max_chunks=1)
+        fresh = exhaustive_verify(5, 0.3, chunk_size=2048 * 3, max_chunks=1)
+        assert resumed == fresh
+
     def test_progress_goes_to_stderr(self, capsys, monkeypatch):
-        scan_n5(0.3, chunk_size=1024, max_chunks=3)
+        exhaustive_verify(5, 0.3, chunk_size=1024, max_chunks=3)
         out, err = capsys.readouterr()
         assert out == ""
         # Well under the reporting interval: only the closing line.
@@ -346,12 +408,12 @@ class TestScanN5:
         assert lines[0].startswith("scan_n5: 3/2097152 chunks, ")
         assert "tables/s, ETA" in lines[0]
         monkeypatch.setattr(search, "PROGRESS_EVERY_S", 0.0)
-        scan_n5(0.3, chunk_size=1024, max_chunks=3)
+        exhaustive_verify(5, 0.3, chunk_size=1024, max_chunks=3)
         assert len(capsys.readouterr().err.splitlines()) == 4
 
     def test_early_chunks_contain_lex_values(self):
         # The first representatives include the all-zeros and low-index
         # tables; their best value is a valid lower bound for the full max.
-        part = scan_n5(0.25, chunk_size=4096, max_chunks=1)
+        part = exhaustive_verify(5, 0.25, chunk_size=4096, max_chunks=1)
         full_bound = 1 - binary_entropy(0.25)
         assert part.max_mi <= full_bound + 1e-12

@@ -306,6 +306,22 @@ class TestPolarizationInequality:
                 assert pw["max_sum_dev"] <= 1e-10
                 assert pw["min_diff_margin"] >= -1e-10
 
+    def test_two_point_identities_on_random_grids(self):
+        # Kf + Kf o s is unchanged by polarization and the pair spread
+        # never shrinks, on any reflection-closed grid (a theorem).
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            m = 2 * int(rng.integers(4, 129))
+            g = circle_grid(m)
+            kernel = KernelSpec.poisson(float(rng.uniform(0.0, 0.95)), 2)
+            f = random_01_field(g, rng)
+            picks = rng.choice(len(g.reflections), 4, replace=False)
+            for k in picks:
+                pw = polarization_pointwise_check(f, g.reflections[k],
+                                                  kernel)
+                assert pw["max_sum_dev"] <= 1e-10, m
+                assert pw["min_diff_margin"] >= -1e-10, m
+
     def test_library_check_matches_per_reflection_checks(self):
         psi = PsiSpec.neg_binary_entropy()
         out = polarization_check(16, 0.6, psi, 3, seed=5)
