@@ -34,6 +34,7 @@ __all__ = [
     "noise_operator",
     "mutual_information_direct",
     "mutual_information_phi",
+    "mi_check",
     "degree_weight",
     "variance_trho",
     "subset_mask",
@@ -44,6 +45,7 @@ __all__ = [
     "majority",
     "indicator_to_pm",
     "make_family",
+    "family_check",
     "and_mi_exact",
     "and_mi_simple_form",
     "symmetric_mi",
@@ -51,8 +53,10 @@ __all__ = [
     "c2_coefficient",
     "taylor_check",
     "perfect_code_mi",
+    "perfect_code_check",
     "hamming_code_decoder",
     "parse_truth_table",
+    "parse_multi_table",
     "format_truth_table",
 ]
 
@@ -345,6 +349,19 @@ def mutual_information_phi(f: BooleanFunction, rho: float) -> float:
     return phi_entropy(t, weights)
 
 
+def mi_check(text: str, alpha: float, multi: int | None = None) -> dict:
+    """Report metrics of a truth table's MI, or with a nonzero ``multi`` of
+    a ``multi``-bit output table (``parse_multi_table``)."""
+    if multi:
+        mi = mutual_information_direct(parse_multi_table(text, multi), alpha)
+        return {"mi": mi, "per_bit": mi / multi}
+    f = parse_truth_table(text)
+    mi = mutual_information_direct(f, alpha)
+    mi_phi = mutual_information_phi(f.reread(PLUS_MINUS), 1.0 - 2.0 * alpha)
+    return {"mi": mi, "mean": float(np.mean(f.bits)), "mi_phi_path": mi_phi,
+            "path_difference": abs(mi - mi_phi)}
+
+
 def degree_weight(spec: FourierSpectrum, k: int) -> float:
     """Fourier weight at degree k."""
     if not 0 <= k <= spec.n:
@@ -431,6 +448,21 @@ def make_family(kind: str, **params) -> BooleanFunction:
     return _FAMILY_BUILDERS[kind](params)
 
 
+def family_check(kind: str, n: int, alpha: float, **option) -> dict:
+    """Report metrics of ``make_family(kind, n=n, **option)``."""
+    f = make_family(kind, n=n, **option)
+    metrics = {"mean": float(np.mean(f.bits)),
+               "mi": mutual_information_direct(f.reread(ZERO_ONE), alpha),
+               "w1": degree_weight(fwht(f), 1)}
+    if kind == "and_k":
+        exact = and_mi_exact(option["k"], alpha)
+        quoted = and_mi_simple_form(option["k"], alpha)
+        metrics.update(mi_exact_form=exact, mi_simple_form=quoted,
+                       simple_form_ratio=quoted / exact if exact > 0.0
+                       else float(quoted == 0.0))
+    return metrics
+
+
 # ---------------------------------------------------------------------------
 # closed forms and large-n fast paths
 
@@ -465,6 +497,11 @@ def and_mi_simple_form(k: int, alpha: float) -> float:
 def _log_binom(n: int, k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+
+
+def _level_masses(n: int) -> np.ndarray:
+    """Bin(n, 1/2) masses of the Hamming levels 0..n."""
+    return np.exp(_log_binom(n, np.arange(n + 1)) - n * _LN2)
 
 
 def _binom_pmf(m: int, alpha: float) -> np.ndarray:
@@ -503,7 +540,7 @@ def symmetric_mi(profile: SymmetricProfile, alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"flip probability {alpha!r} outside [0, 1]")
     levels = profile.levels
-    q = np.exp(_log_binom(n, np.arange(n + 1)) - n * _LN2)
+    q = _level_masses(n)
     mu = min(max(float(math.fsum((q * levels).tolist())), 0.0), 1.0)
     p_given_y = np.empty(n + 1)
     for i in range(n + 1):
@@ -640,6 +677,14 @@ def perfect_code_mi(alpha: float):
     return mi, mi / _CODE_K
 
 
+def perfect_code_check(alpha: float) -> dict:
+    """The decoder's MI per bit must beat the dictator bound 1 - h(alpha)."""
+    mi, per_bit = perfect_code_mi(alpha)
+    bound = 1.0 - binary_entropy(alpha)
+    return {"mi": mi, "per_bit": per_bit, "bound": bound,
+            "margin": per_bit - bound, "pass": per_bit > bound}
+
+
 # ---------------------------------------------------------------------------
 # truth-table text format
 
@@ -693,3 +738,13 @@ def parse_truth_table(text: str) -> BooleanFunction:
         raise ValueError("table line must contain only 0/1")
     bits = np.frombuffer(body.encode(), dtype=np.uint8) - ord("0")
     return BooleanFunction(n, bits, convention)
+
+
+def parse_multi_table(text: str, k: int) -> MultiOutputFunction:
+    """Parse a header with ``n=`` and 2^n k-bit output integers."""
+    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty truth table")
+    n = int(_header_fields(lines[0], "n")["n"])
+    table = [int(tok, 0) for tok in " ".join(lines[1:]).split()]
+    return MultiOutputFunction(n, k, np.asarray(table))

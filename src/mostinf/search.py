@@ -27,18 +27,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .entropy import binary_entropy
+from .entropy import binary_entropy, gaussian_isoperimetric
 from .cube import (
     BooleanFunction,
     SymmetricProfile,
     _distance_weights,
-    _log_binom,
+    _level_masses,
     _popcount,
     and_mi_exact,
     dictator,
+    format_truth_table,
     hamming_ball_w1_exact,
     lex,
-    mutual_information_direct,
     symmetric_mi,
 )
 
@@ -46,9 +46,11 @@ __all__ = [
     "SearchReport",
     "LexFailureRecord",
     "exhaustive_verify",
+    "verify_check",
     "fixed_mean_max",
     "canonical_form",
     "lex_failure_scan",
+    "lex_failure_check",
     "ball_profile_for_mean",
 ]
 
@@ -202,7 +204,7 @@ def canonical_form(f: BooleanFunction) -> BooleanFunction:
 def ball_profile_for_mean(n: int, mu: float) -> SymmetricProfile:
     """Level profile of the ball with exact mean mu: full low levels plus a
     fractional boundary level."""
-    q = np.exp(_log_binom(n, np.arange(n + 1)) - n * math.log(2.0))
+    q = _level_masses(n)
     cum = np.cumsum(q)
     full = int(np.searchsorted(cum, mu, side="right"))
     levels = (np.arange(n + 1) < full).astype(float)
@@ -238,8 +240,7 @@ def lex_failure_scan(k: int, n: int, alpha: float) -> LexFailureRecord:
     # Full-level radius whose point count best approximates mu * 2^n.
     boundary = int(np.nonzero(profile.levels < 1.0)[0][0]) \
         if np.any(profile.levels < 1.0) else n
-    q = np.exp(_log_binom(n, np.arange(n + 1)) - n * math.log(2.0))
-    cum = np.cumsum(q)
+    cum = np.cumsum(_level_masses(n))
     cands = [r for r in (boundary - 1, boundary) if 1 <= r < n]
     r_best = min(cands, key=lambda r: abs(cum[r] - mu))
     w1_ball = hamming_ball_w1_exact(n, r_best)
@@ -250,6 +251,17 @@ def lex_failure_scan(k: int, n: int, alpha: float) -> LexFailureRecord:
         w1_ball=w1_ball, w1_and=w1_and,
         ball_wins=bool(mi_ball > mi_and),
     )
+
+
+def lex_failure_check(k: int, n: int, alpha: float) -> dict:
+    """``lex_failure_scan`` as report metrics, with ball-to-AND ratios."""
+    r = lex_failure_scan(k, n, alpha)
+    return {"mi_ball": r.mi_ball, "mi_and": r.mi_and,
+            "mi_ratio": r.mi_ball / r.mi_and if r.mi_and > 0.0 else 0.0,
+            "w1_ball": r.w1_ball, "w1_and": r.w1_and,
+            "w1_limit_ratio":
+                gaussian_isoperimetric(2.0 ** (-k)) ** 2 / r.w1_and,
+            "ball_wins": r.ball_wins}
 
 
 _CHECKPOINT_KEYS = {"n", "alpha", "next", "max_mi", "witnesses", "scanned"}
@@ -320,6 +332,8 @@ def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
     first = state["next"]
     end = total_reps if max_chunks is None \
         else min(total_reps, first + max_chunks * chunk_size)
+    if end == first == 0:
+        raise ValueError("max_chunks=0 on a fresh scan scans nothing")
     progress = total_reps > chunk_size
     start = last_report = time.monotonic()
     for lo in range(first, end, chunk_size):
@@ -352,3 +366,31 @@ def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
         | set(t ^ full for t in state["witnesses"]))[:ARGMAX_CAP]
     return _scan_report(n, alpha, state["max_mi"], witnesses,
                         state["scanned"], state["next"] >= total_reps)
+
+
+def verify_check(n: int, alpha: float, **scan) -> dict:
+    """``exhaustive_verify(n, alpha, **scan)`` as metrics and verdict (none
+    while an unfinished scan keeps the bound); n <= 3 tabulates every MI."""
+    report = exhaustive_verify(n, alpha, **scan)
+    hexes = [format_truth_table(BooleanFunction.from_int(n, t),
+                                hex_form=True).splitlines()[1]
+             for t in report.argmax[:16]]
+    metrics = {"max_mi": report.max_mi, "bound": report.bound,
+               "margin": report.bound - report.max_mi,
+               "functions_scanned": report.functions_scanned,
+               "argmax_count": len(report.argmax),
+               "argmax_hex": ";".join(hexes),
+               "argmax_is_dictators": report.argmax_is_dictators}
+    if report.functions_scanned < 1 << (1 << n):
+        metrics["scan_complete"] = False
+        metrics["pass"] = None if report.max_mi <= report.bound + 1e-12 \
+            else False
+    else:
+        metrics["pass"] = report.bound_satisfied and (
+            report.argmax_is_dictators if 0.0 < alpha < 0.5 else True)
+    if n <= 3:
+        size = 1 << n
+        mi = _batched_mi(
+            _bits_matrix(np.arange(1 << size, dtype=np.int64), size), alpha)
+        metrics["table"] = (["function_index", "mi"], list(enumerate(mi)))
+    return metrics

@@ -33,7 +33,9 @@ __all__ = [
     "polarization_inequality_check",
     "polarization_pointwise_check",
     "polarization_check",
+    "mc_check",
     "iterate_polarizations",
+    "rearrange_check",
     "spherical_mi",
     "field_to_json",
     "field_from_json",
@@ -404,6 +406,25 @@ def polarization_check(grid_m: int, rho: float, psi: PsiSpec, trials: int,
             "pass": failures == 0}
 
 
+def mc_check(dim: int, points: int, rho: float, seed: int) -> dict:
+    """``polarization_inequality_check`` (Psi = t^2) of a random 0/1 field
+    on ``sphere_sample(dim, points, seed)``, whose mean projection on the
+    pole must also lie within 3/sqrt(points) of 0."""
+    ps = sphere_sample(dim, points, seed)
+    rng = np.random.default_rng(seed + 1)
+    f = SphericalField(ps, rng.integers(0, 2, points).astype(float))
+    res = polarization_inequality_check(f, ps.reflections[0],
+                                        KernelSpec.poisson(rho, dim),
+                                        PsiSpec.square())
+    mean_proj = float(np.mean(ps.points @ ps.pole))
+    keys = ("j_before", "j_after", "max_sum_dev", "min_diff_margin")
+    return {"weight_sum": float(np.sum(ps.weights)),
+            "mean_pole_projection": mean_proj, **{k: res[k] for k in keys},
+            "pass": bool(res["pass"] and res["max_sum_dev"] <= 1e-10
+                         and res["min_diff_margin"] >= -1e-10
+                         and abs(mean_proj) <= 3.0 / math.sqrt(points))}
+
+
 def iterate_polarizations(f: SphericalField, reflections_seed: int, steps: int,
                           kernel: KernelSpec | None = None,
                           psi: PsiSpec | None = None) -> dict:
@@ -437,6 +458,31 @@ def iterate_polarizations(f: SphericalField, reflections_seed: int, steps: int,
     if record_j:
         out["j_trace"] = np.asarray(j_trace)
     return out
+
+
+def rearrange_check(grid_m: int, rho: float, steps: int, seed: int) -> dict:
+    """``iterate_polarizations`` of a random 0/1 field on the M-point circle
+    (Psi = -h): L1 to the rearrangement must never rise, J never drop, nor
+    exceed the rearrangement's.  The trace is the "table"."""
+    grid = circle_grid(grid_m)
+    kernel = KernelSpec.poisson(rho, 2)
+    psi = PsiSpec.neg_binary_entropy()
+    rng = np.random.default_rng(seed)
+    f = SphericalField(grid, rng.integers(0, 2, grid_m).astype(float))
+    res = iterate_polarizations(f, seed, steps, kernel=kernel, psi=psi)
+    l1 = res["l1_to_rearranged"]
+    jt = res["j_trace"]
+    j_rearranged = functional_J(psi, kernel, rearrange(f))
+    l1_monotone = bool(np.all(np.diff(l1) <= 1e-12))
+    j_monotone = bool(np.all(np.diff(jt) >= -1e-12))
+    return {"l1_initial": float(l1[0]), "l1_final": float(l1[-1]),
+            "l1_monotone": l1_monotone, "j_initial": float(jt[0]),
+            "j_final": float(jt[-1]), "j_rearranged": j_rearranged,
+            "j_monotone": j_monotone,
+            "pass": bool(l1_monotone and j_monotone
+                         and jt[-1] <= j_rearranged + 1e-10),
+            "table": (["step", "J", "l1_distance"],
+                      list(zip(range(len(l1)), jt, l1)))}
 
 
 def spherical_mi(f: SphericalField, rho: float) -> float:

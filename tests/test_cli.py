@@ -1,10 +1,13 @@
 """Command dispatch, record emission, determinism, exit codes."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mostinf import cli
 from mostinf.cli import RunRecord, emit, main
 from mostinf.cube import BooleanFunction, format_truth_table
 
@@ -283,6 +286,10 @@ class TestDispatchErrors:
         ["boolean", "verify", "--n", "5", "--alpha", "0.1",
          "--max-chunks", "-1"],
         ["boolean", "verify", "--n", "4", "--alpha", "0.1", "--chunk", "0"],
+        ["boolean", "verify", "--n", "5", "--alpha", "0.2",
+         "--max-chunks", "0"],
+        ["gauss", "kernel-limit", "--n", "2", "--rho", "0.5",
+         "--bigN", "50,200,50"],
     ])
     def test_bad_input_exit_2_one_line(self, capsys, tmp_path, monkeypatch,
                                        argv):
@@ -317,3 +324,113 @@ class TestDispatchErrors:
                      "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["command"] == "boolean verify"
+
+
+# Small arguments for every subcommand, and the record they must give: its
+# params keys, its result names in order, whether it carries a verdict, and
+# the header of its --format csv output.
+_SCHEMA = [
+    (["boolean", "verify", "--n", "2", "--alpha", "0.3"],
+     ["alpha", "n"],
+     ["max_mi", "bound", "margin", "functions_scanned", "argmax_count",
+      "argmax_hex", "argmax_is_dictators"], True, "function_index,mi"),
+    (["boolean", "verify", "--n", "4", "--alpha", "0.3", "--chunk", "1024",
+      "--max-chunks", "1"],
+     ["alpha", "n"],
+     ["max_mi", "bound", "margin", "functions_scanned", "argmax_count",
+      "argmax_hex", "argmax_is_dictators", "scan_complete"], False,
+     "name,value"),
+    (["boolean", "mi", "--tt", "table.tt", "--alpha", "0.2"],
+     ["alpha", "tt"], ["mi", "mean", "mi_phi_path", "path_difference"],
+     False, "name,value"),
+    (["boolean", "mi", "--tt", "table.tt", "--alpha", "0.2", "--multi", "0"],
+     ["alpha", "tt"], ["mi", "mean", "mi_phi_path", "path_difference"],
+     False, "name,value"),
+    (["boolean", "mi", "--tt", "multi.tt", "--alpha", "0.2", "--multi", "2"],
+     ["alpha", "multi", "tt"], ["mi", "per_bit"], False, "name,value"),
+    (["boolean", "family", "--kind", "and_k", "--n", "4", "--alpha", "0.2"],
+     ["alpha", "k", "kind", "n"],
+     ["mean", "mi", "w1", "mi_exact_form", "mi_simple_form",
+      "simple_form_ratio"], False, "name,value"),
+    (["boolean", "family", "--kind", "hamming_ball", "--n", "4", "--ones",
+      "5", "--alpha", "0.2"],
+     ["alpha", "kind", "n", "ones_count"], ["mean", "mi", "w1"], False,
+     "name,value"),
+    (["boolean", "family", "--kind", "majority", "--n", "3", "--alpha",
+      "0.2"],
+     ["alpha", "kind", "n"], ["mean", "mi", "w1"], False, "name,value"),
+    (["boolean", "perfect-code", "--alpha", "0.1"],
+     ["alpha"], ["mi", "per_bit", "bound", "margin"], True, "name,value"),
+    (["boolean", "lex-failure", "--k", "3", "--n", "40", "--alpha", "0.1"],
+     ["alpha", "k", "n"],
+     ["mi_ball", "mi_and", "mi_ratio", "w1_ball", "w1_and",
+      "w1_limit_ratio", "ball_wins"], False, "name,value"),
+    (["boolean", "taylor", "--n", "3", "--trials", "5"],
+     ["n", "trials"], ["trials", "failures", "worst_rel_err"], True,
+     "name,value"),
+    (["sphere", "polarize-check", "--grid", "8", "--rho", "0.3",
+      "--trials", "2"],
+     ["grid", "psi", "rho", "trials"],
+     ["checks", "failures", "worst_j_drop", "worst_sum_dev",
+      "worst_diff_margin"], True, "name,value"),
+    (["sphere", "rearrange", "--grid", "8", "--rho", "0.4", "--steps", "5"],
+     ["grid", "rho", "steps"],
+     ["l1_initial", "l1_final", "l1_monotone", "j_initial", "j_final",
+      "j_rearranged", "j_monotone"], True, "step,J,l1_distance"),
+    (["sphere", "mc", "--dim", "3", "--points", "100"],
+     ["dim", "points", "rho"],
+     ["weight_sum", "mean_pole_projection", "j_before", "j_after",
+      "max_sum_dev", "min_diff_margin"], True, "name,value"),
+    (["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5"],
+     ["measure", "pieces", "rho"],
+     ["set_measure", "neg_cond_entropy_set", "neg_cond_entropy_halfspace",
+      "margin", "mi_set", "mi_halfspace"], True, "name,value"),
+    (["gauss", "kernel-limit", "--n", "2", "--rho", "0.5", "--bigN",
+      "50,200"],
+     ["bigN", "n", "rho"], ["rel_err_N50", "rel_err_N200", "errors_monotone"],
+     True, "N,value,reference,abs_err,rel_err"),
+    (["gauss", "factor-check", "--bigN", "9", "--n", "2", "--trials", "5",
+      "--samples", "500"],
+     ["bigN", "n", "rho", "samples", "trials"],
+     ["factorization_worst_rel", "a_bound_violations",
+      "poisson_factor_mass", "poisson_factor_sigma",
+      "poisson_factor_mass_quad", "poisson_factor_quad_err",
+      "decomposition_ratio_const", "decomposition_ratio_x1sq",
+      "decomposition_consistent"], True, "name,value"),
+]
+
+
+@pytest.mark.parametrize("argv,params,names,verdict,csv_header", _SCHEMA,
+                         ids=[" ".join(case[0][:2]) for case in _SCHEMA])
+def test_record_schema(capsys, tmp_path, monkeypatch, argv, params, names,
+                       verdict, csv_header):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.tt").write_text("n=3 conv=zero_one\n01101001\n")
+    (tmp_path / "multi.tt").write_text("n=2 k=2\n0 1 2 3\n")
+    code, obj = run_json(capsys, *argv)
+    assert code == 0
+    assert sorted(obj["params"]) == params
+    assert [m["name"] for m in obj["results"]] == names
+    assert ("pass" in obj) == verdict
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == csv_header
+
+
+def test_cli_stays_thin():
+    """The CLI renders what one public library call returns: it defines no
+    per-command handler and reaches no private library name."""
+    layers = {"cube", "search", "sphere", "gauss", "entropy"}
+    tree = ast.parse(Path(cli.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            assert not node.name.startswith("_cmd_"), node.name
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else \
+                getattr(owner, "attr", None)
+            assert name not in layers, f"{name}.{node.attr}"
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").split(".")[-1] in layers:
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            assert not private, private

@@ -14,6 +14,7 @@ from mostinf.gauss import (
     a_factor,
     borell_check,
     decomposition_integral_check,
+    factor_check,
     gaussian_mi,
     log_sphere_area,
     mehler_kernel,
@@ -22,6 +23,7 @@ from mostinf.gauss import (
     ou_apply,
     poisson_factor,
     poisson_factor_mass_mc,
+    poisson_factor_mass_quad,
     q_rho,
     r_factor,
     random_interval_union,
@@ -385,6 +387,22 @@ class TestBigSphereKernel:
     def test_poisson_factor_mass(self, d):
         res = poisson_factor_mass_mc(d, 0.4, seed=3)
         assert abs(res["mass"] - 1.0) <= 3 * res["sigma"]
+
+    @pytest.mark.parametrize("d", [7, 9, 48])
+    @pytest.mark.parametrize("r", [0.5, 0.8, 0.9])
+    def test_poisson_factor_mass_by_quadrature(self, d, r):
+        mass, err = poisson_factor_mass_quad(d, r)
+        assert abs(mass - 1.0) <= 1e-14
+        assert err <= 5e-13
+
+    @pytest.mark.parametrize("rho", [0.5, 0.8])
+    def test_factor_check_passes_where_the_mc_mass_strays(self, rho):
+        # At d = 48 the MC mass strays beyond its own 3 sigma on many seeds
+        # (seed 5 at rho = 0.5: 0.466 +- 0.063); the quadrature mass does not.
+        res = factor_check(LimitParams(N=50, n=2), rho, trials=5,
+                           samples=20000, seed=5)
+        assert abs(res["poisson_factor_mass_quad"] - 1.0) <= 1e-9
+        assert res["pass"] is True
 
     def test_sphere_area_values(self):
         assert math.exp(log_sphere_area(2)) == pytest.approx(2 * math.pi)

@@ -178,6 +178,16 @@ class TestExhaustiveVerify:
         with pytest.raises(ValueError):
             exhaustive_verify(4, 0.1, max_chunks=-1)
 
+    def test_empty_slice_reports_the_checkpoint(self, tmp_path):
+        ckpt = str(tmp_path / "scan.json")
+        with pytest.raises(ValueError):  # nothing scanned, nothing stored
+            exhaustive_verify(4, 0.1, checkpoint=ckpt, max_chunks=0)
+        partial = exhaustive_verify(4, 0.1, checkpoint=ckpt, chunk_size=1024,
+                                    max_chunks=3)
+        assert partial.functions_scanned == 2 * 3 * 1024
+        assert exhaustive_verify(4, 0.1, checkpoint=ckpt, chunk_size=1024,
+                                 max_chunks=0) == partial
+
 
 class TestFixedMeanMax:
     def test_empty_support(self):
