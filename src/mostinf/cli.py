@@ -34,17 +34,17 @@ _PSI_NAMES = {
 }
 
 
-def _psi_from_name(name: str) -> PsiSpec:
-    if name in _PSI_NAMES:
-        return _PSI_NAMES[name]()
-    if name.startswith("abs:"):
-        return PsiSpec.abs_power(float(name.split(":", 1)[1]))
-    raise argparse.ArgumentTypeError(f"unknown psi {name!r}")
-
-
-def _psi_name(value: str) -> str:
-    _psi_from_name(value)  # reject unknown names at parse time
-    return value
+def _psi(name: str) -> tuple[str, PsiSpec]:
+    """The type of --psi: the name as given and its PsiSpec; argparse's
+    error for a rejected name carries the reason."""
+    try:
+        if name.startswith("abs:"):
+            return name, PsiSpec.abs_power(float(name.split(":", 1)[1]))
+        return name, _PSI_NAMES[name]()
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"unknown psi {name!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _alpha(value: str) -> float:
@@ -221,12 +221,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = s.add_parser("polarize-check", parents=[common])
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--rho", type=_rho, required=True)
-    p.add_argument("--psi", type=_psi_name, default="neg-entropy",
+    p.add_argument("--psi", type=_psi, default="neg-entropy",
                    metavar="PSI_NAME")
     p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(params=("grid", "rho", "psi", "trials"), call=(
-        lambda a: sphere.polarization_check(
-            a.grid, a.rho, _psi_from_name(a.psi), a.trials, a.seed)))
+    p.set_defaults(
+        params=lambda a: {"grid": a.grid, "rho": a.rho, "psi": a.psi[0],
+                          "trials": a.trials},
+        call=lambda a: sphere.polarization_check(
+            a.grid, a.rho, a.psi[1], a.trials, a.seed))
     p = s.add_parser("rearrange", parents=[common])
     p.add_argument("--grid", type=int, required=True)
     p.add_argument("--rho", type=_rho, required=True)
@@ -246,10 +248,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_rho, required=True)
     p.add_argument("--spec", default=None)
     p.add_argument("--pieces", type=int, default=3)
-    p.set_defaults(params=("measure", "rho", "pieces"), call=(
-        lambda a: gauss.halfspace_check(
+    p.set_defaults(
+        params=lambda a: {
+            "measure": a.measure, "rho": a.rho, "pieces": a.pieces,
+            **({} if a.spec is None else {"spec": json.loads(a.spec)})},
+        call=lambda a: gauss.halfspace_check(
             a.measure, a.rho, a.pieces, a.seed,
-            json.loads(a.spec) if a.spec else None)))
+            None if a.spec is None else json.loads(a.spec)))
     p = g.add_parser("kernel-limit", parents=[common])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho", type=_rho, required=True)

@@ -1,10 +1,10 @@
 """Scalar special functions shared by every setting.
 
 Binary entropy and its Jensen-gap functional, the convex-function registry
-used by the kernel inequalities, standard-normal helpers, the Gaussian
-isoperimetric function, and the two published channel bounds.  All entropies
-are in bits; natural logs appear only inside series constants and the
-curvature coefficient.
+used by the kernel inequalities, standard-normal helpers (the quantile is
+scipy's ``ndtri``), the Gaussian isoperimetric function, and the two
+published channel bounds.  All entropies are in bits; natural logs appear
+only inside series constants and the curvature coefficient.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 __all__ = [
     "binary_entropy",
@@ -97,59 +98,12 @@ def normal_pdf(z: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
-# Rational-approximation coefficients (central region and tails) for the
-# standard normal quantile; |error| < 1.2e-9 before refinement.
-_QUANT_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_QUANT_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_QUANT_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_QUANT_D = (
-    7.784695709041462e-03, 3.224671290700398e-01,
-    2.445134137142996e+00, 3.754408661907416e+00,
-)
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse of :func:`normal_cdf`.
-
-    Rational approximation split into central and tail regions, then one
-    Newton step against the erfc-based CDF; round-trip error stays below
-    1e-12 for p in [1e-12, 1 - 1e-12].
-    """
+    """Inverse of :func:`normal_cdf`: scipy's ``ndtri``, to a few ulps."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_quantile: p must be in (0, 1), got {p!r}")
-    p_low, p_high = 0.02425, 1.0 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        a, b, c, d, e, f = _QUANT_C
-        u, v, w, s = _QUANT_D
-        z = (((((a * q + b) * q + c) * q + d) * q + e) * q + f) / \
-            ((((u * q + v) * q + w) * q + s) * q + 1.0)
-    elif p > p_high:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        a, b, c, d, e, f = _QUANT_C
-        u, v, w, s = _QUANT_D
-        z = -(((((a * q + b) * q + c) * q + d) * q + e) * q + f) / \
-            ((((u * q + v) * q + w) * q + s) * q + 1.0)
-    else:
-        q = p - 0.5
-        r = q * q
-        a, b, c, d, e, f = _QUANT_A
-        u, v, w, s, t = _QUANT_B
-        z = (((((a * r + b) * r + c) * r + d) * r + e) * r + f) * q / \
-            (((((u * r + v) * r + w) * r + s) * r + t) * r + 1.0)
-    # One Newton refinement; pdf(z) > 0 throughout the usable range.
-    z -= (normal_cdf(z) - p) / normal_pdf(z)
-    return z
+    return float(ndtri(p))
 
 
 def gaussian_isoperimetric(mu: float) -> float:

@@ -88,7 +88,10 @@ class GaussianSetSpec:
 
     @classmethod
     def interval_union(cls, intervals) -> "GaussianSetSpec":
-        iv = tuple((float(a), float(b)) for a, b in intervals)
+        try:
+            iv = tuple((float(a), float(b)) for a, b in intervals)
+        except TypeError:
+            raise ValueError("intervals must be pairs of numbers") from None
         return cls("interval_union", intervals=iv)
 
     def measure(self) -> float:
@@ -418,7 +421,8 @@ def decomposition_integral_check(g, params: LimitParams, seed: int,
                                  samples: int = 40000,
                                  exponent: str = "corrected") -> dict:
     """Monte Carlo comparison of a sphere integral against its
-    ball-times-fiber splitting, reporting lhs, rhs, and their ratio.
+    ball-times-fiber splitting, reporting lhs, rhs, and their ratio, and
+    as "ratio_exact" the closed-form ratio for g = 1 at the same power.
 
     ``g`` is "const", "x1sq", or a callable on (samples, N) point arrays.
     With ``exponent="corrected"`` the radial density is
@@ -459,12 +463,18 @@ def decomposition_integral_check(g, params: LimitParams, seed: int,
     lhs = float(np.mean(lhs_vals))
     rhs = float(np.mean(rhs_vals))
     ratio = lhs / rhs
+    # For g = 1 the rhs is |S^(d-1)| |S^(n-1)| R^(N-1) B(n/2, power + 1)/2.
+    log_beta = math.lgamma(0.5 * n) + math.lgamma(power + 1.0) \
+        - math.lgamma(0.5 * n + power + 1.0)
+    ratio_exact = math.exp(log_sphere_area(N) - log_sphere_area(d)
+                           - log_sphere_area(n) - log_beta + math.log(2.0))
     var = (np.var(lhs_vals, ddof=1) / lhs ** 2
            + np.var(rhs_vals, ddof=1) / rhs ** 2) / samples
     return {
         "lhs": lhs,
         "rhs": rhs,
         "ratio": ratio,
+        "ratio_exact": ratio_exact,
         "sigma": float(abs(ratio) * math.sqrt(var)),
         "samples": samples,
     }
@@ -479,13 +489,22 @@ def factor_check(params: LimitParams, rho: float, trials: int, samples: int,
     order, then the verdict under "pass".  ``trials`` random sphere pairs
     test q_rho = U_{rho,N} x Poisson factor, 100,000 random ball pairs with
     their own rho test A's lower bound and r <= rho, quadrature the factor's
-    mass, and ``samples`` draws each the MC mass and decomposition ratio."""
+    mass, a closed form the decomposition ratio for g = 1, and ``samples``
+    draws each the MC mass and decomposition ratios, which are reported."""
     if trials < 0 or samples < 2:
         raise ValueError("factor check needs trials >= 0 and samples >= 2; "
                          f"got {trials}, {samples}")
     rho = _check_rho(rho)
     rng = np.random.default_rng(seed)
-    n, R, d = params.n, params.R, params.N - params.n
+    N, n, R, d = params.N, params.n, params.R, params.N - params.n
+    # The decomposition's MC sums ``samples`` squares of values up to
+    # R^(N+1) |S^(N-1)|, or R^(N+1) vol(B^n) |S^(d-1)| on the split side.
+    log_peak = (N + 1) * math.log(R) + max(
+        log_sphere_area(N), log_sphere_area(d) + 0.5 * n * math.log(math.pi)
+        - math.lgamma(0.5 * n + 1.0))
+    if math.log(samples) + 2.0 * log_peak > math.log(np.finfo(float).max):
+        raise ValueError(f"N = {N} overflows the decomposition check's sums "
+                         f"of squares at n = {n} and {samples} samples")
     worst_rel = 0.0
     for _ in range(trials):
         y, z = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
@@ -516,7 +535,7 @@ def factor_check(params: LimitParams, rho: float, trials: int, samples: int,
                                             samples=samples)
     consistent = abs(dec_const["ratio"] - dec_x1sq["ratio"]) <= \
         3.0 * math.hypot(dec_const["sigma"], dec_x1sq["sigma"])
-    # Not the MC mass: the factor's heavy peak makes its sigma too small.
+    # Not MC: the mass's sigma runs small, and 3-sigma tests fail by chance.
     mass_ok = abs(mass_quad - 1.0) <= 1e-9
     return {
         "factorization_worst_rel": worst_rel,
@@ -527,9 +546,10 @@ def factor_check(params: LimitParams, rho: float, trials: int, samples: int,
         "poisson_factor_quad_err": quad_err,
         "decomposition_ratio_const": dec_const["ratio"],
         "decomposition_ratio_x1sq": dec_x1sq["ratio"],
+        "decomposition_ratio_exact": dec_const["ratio_exact"],
         "decomposition_consistent": consistent,
         "pass": bool(worst_rel <= 1e-9 and violations == 0 and mass_ok
-                     and consistent),
+                     and abs(dec_const["ratio_exact"] - 1.0) <= 1e-9),
     }
 
 

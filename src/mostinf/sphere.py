@@ -3,7 +3,7 @@
 The circle uses an exact uniform grid whose supported reflections map grid
 points to grid points, so the two-point identities behind the polarization
 inequality hold to float precision.  Higher-dimensional spheres use
-Monte Carlo point sets closed under a single chosen reflection.
+Monte Carlo point sets: a half and its mirror image across one hyperplane.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.spatial import cKDTree
 
 from .entropy import PsiSpec, binary_entropy
 
@@ -41,7 +40,6 @@ __all__ = [
     "field_from_json",
 ]
 
-_ON_PLANE_TOL = 1e-12
 _MATCH_TOL = 1e-9
 
 
@@ -83,26 +81,36 @@ class Reflection:
 
 
 class SpherePointSet:
-    """Weighted points on a radius-R sphere with supported reflections."""
+    """Equal-weight points on a radius-R sphere with ``mirrors``: each
+    supported reflection sigma and its index map, whose p_map[j] must lie
+    within 1e-9 max(1, R) of sigma(p_j), checked at construction."""
 
-    def __init__(self, n: int, radius: float, points, weights, pole,
-                 reflections, grid_m: int | None = None):
+    def __init__(self, n: int, radius: float, points, pole, mirrors,
+                 grid_m: int | None = None):
         self.n = int(n)
         self.radius = float(radius)
         self.points = np.asarray(points, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
         self.pole = np.asarray(pole, dtype=float)
-        self.reflections = list(reflections)
         self.grid_m = grid_m
-        if self.points.shape != (self.weights.size, self.n):
-            raise ValueError("points/weights shape mismatch")
-        if np.any(self.weights <= 0.0):
-            raise ValueError("weights must be positive")
+        if self.points.ndim != 2 or self.points.shape[1] != self.n:
+            raise ValueError(f"points must form an (M, {self.n}) array")
+        self.weights = np.full(len(self.points), 1.0 / len(self.points))
+        tol = _MATCH_TOL * max(1.0, self.radius)
         norms = np.linalg.norm(self.points, axis=1)
-        if np.max(np.abs(norms - self.radius)) > 1e-9 * max(1.0, self.radius):
+        if np.max(np.abs(norms - self.radius)) > tol:
             raise ValueError("points do not lie on the sphere")
-        self._tree = None
-        self._partners: dict = {}
+        self._mirrors = {}
+        for sigma, partner in mirrors:
+            if abs(float(np.dot(sigma.vector, self.pole))) <= \
+                    _MATCH_TOL * self.radius:
+                raise ValueError("hyperplane passes through the pole")
+            partner = np.asarray(partner, dtype=np.intp)
+            if partner.shape != (self.size,) or np.max(np.linalg.norm(
+                    sigma.apply(self.points) - self.points[partner],
+                    axis=1)) > tol:
+                raise ValueError("point set is not closed under a reflection")
+            self._mirrors[sigma] = partner
+        self.reflections = list(self._mirrors)
         self._kernel_cache: dict = {}
 
     @property
@@ -114,23 +122,10 @@ class SpherePointSet:
         return np.arccos(np.clip(c, -1.0, 1.0))
 
     def partner_indices(self, sigma: Reflection) -> np.ndarray:
-        """Index of each point's mirror image; errors if not closed."""
-        key = sigma.normal
-        if key in self._partners:
-            return self._partners[key]
-        if abs(float(np.dot(sigma.vector, self.pole))) <= \
-                _MATCH_TOL * self.radius:
-            raise ValueError("hyperplane passes through the pole")
-        if self._tree is None:
-            self._tree = cKDTree(self.points)
-        reflected = sigma.apply(self.points)
-        dist, idx = self._tree.query(reflected)
-        if np.max(dist) > _MATCH_TOL * max(1.0, self.radius):
-            raise ValueError("point set is not closed under this reflection")
-        if np.max(np.abs(self.weights[idx] - self.weights)) > 1e-15:
-            raise ValueError("reflection does not preserve weights")
-        self._partners[key] = idx
-        return idx
+        """Index of each point's mirror image; errors if not supported."""
+        if sigma not in self._mirrors:
+            raise ValueError("point set does not support this reflection")
+        return self._mirrors[sigma]
 
     def kernel_matrix(self, kernel: "KernelSpec") -> np.ndarray:
         if kernel not in self._kernel_cache:
@@ -222,8 +217,8 @@ def circle_grid(m: int) -> SpherePointSet:
     """Uniform M-point grid on the unit circle, pole at angle zero.
 
     Supported reflections are the axes at angles pi*l/M for l = 1..M-1; the
-    polar axis itself (l = 0) is excluded.  Every supported reflection maps
-    grid points to grid points exactly.
+    polar axis itself (l = 0) is excluded.  The axis at pi*l/M maps grid
+    point j to point (l - j) mod M exactly.
     """
     if m % 2 != 0:
         raise ValueError("grid size must be even")
@@ -232,35 +227,40 @@ def circle_grid(m: int) -> SpherePointSet:
     theta = 2.0 * np.pi * np.arange(m) / m
     points = np.column_stack([np.cos(theta), np.sin(theta)])
     pole = np.array([1.0, 0.0])
-    reflections = []
+    mirrors = []
     for ell in range(1, m):
         phi = np.pi * ell / m
         normal = np.array([np.sin(phi), -np.cos(phi)])
-        reflections.append(Reflection.from_vector(normal, pole))
+        mirrors.append((Reflection.from_vector(normal, pole),
+                        (ell - np.arange(m)) % m))
+    return SpherePointSet(n=2, radius=1.0, points=points, pole=pole,
+                          mirrors=mirrors, grid_m=m)
+
+
+def _mirrored_halves(n: int, radius: float, points) -> SpherePointSet:
+    """Points on the radius-R sphere in R^n, pole R e_1, whose second half
+    mirrors the first across the pole's orthogonal hyperplane: j -> j + M/2."""
+    pole = np.zeros(n)
+    pole[0] = radius
+    m = len(points)
     return SpherePointSet(
-        n=2, radius=1.0, points=points, weights=np.full(m, 1.0 / m),
-        pole=pole, reflections=reflections, grid_m=m)
+        n=n, radius=radius, points=points, pole=pole,
+        mirrors=[(Reflection.from_vector(pole, pole),
+                  (np.arange(m) + m // 2) % m)])
 
 
-def sphere_sample(n: int, m: int, seed: int,
-                  sigma: Reflection | None = None) -> SpherePointSet:
-    """Monte Carlo point set on the unit sphere in R^n, closed under one
-    reflection: M/2 uniform points plus their mirror images."""
+def sphere_sample(n: int, m: int, seed: int) -> SpherePointSet:
+    """Monte Carlo point set on the unit sphere in R^n: M/2 uniform points,
+    then their mirror images across the pole's orthogonal hyperplane."""
     if m < 2 or m % 2 != 0:
         raise ValueError(f"sample size must be even and positive, got {m}")
     if n < 3:
         raise ValueError("use circle_grid for the circle")
-    pole = np.zeros(n)
-    pole[0] = 1.0
-    if sigma is None:
-        sigma = Reflection.from_vector(pole, pole)
     rng = np.random.default_rng(seed)
     half = rng.standard_normal((m // 2, n))
     half /= np.linalg.norm(half, axis=1, keepdims=True)
-    points = np.vstack([half, sigma.apply(half)])
-    return SpherePointSet(
-        n=n, radius=1.0, points=points, weights=np.full(m, 1.0 / m),
-        pole=pole, reflections=[sigma])
+    sigma = Reflection.from_vector(np.eye(n)[0])
+    return _mirrored_halves(n, 1.0, np.vstack([half, sigma.apply(half)]))
 
 
 def cap_measure(n: int, theta: float) -> float:
@@ -279,21 +279,13 @@ def cap_measure(n: int, theta: float) -> float:
     return num / den
 
 
-def _require_uniform_weights(ps: SpherePointSet):
-    w = ps.weights
-    if np.max(w) - np.min(w) > 1e-15 * np.max(w):
-        raise ValueError("operation requires uniform quadrature weights")
-
-
 def rearrange(f: SphericalField) -> SphericalField:
     """Equimeasurable field sorted to be non-increasing in polar angle.
 
     Positions are ordered by (polar angle, point index); on the circle grid
-    this puts the +angle point of each mirror pair first.  Requires uniform
-    weights so the (value, weight) multiset is preserved.
+    this puts the +angle point of each mirror pair first.
     """
     ps = f.pointset
-    _require_uniform_weights(ps)
     order = np.lexsort((np.arange(ps.size), ps.polar_angles()))
     out = np.empty(ps.size)
     out[order] = np.sort(f.values)[::-1]
@@ -302,14 +294,14 @@ def rearrange(f: SphericalField) -> SphericalField:
 
 def polarize(f: SphericalField, sigma: Reflection) -> SphericalField:
     """Two-point rearrangement across sigma: the larger of each mirror pair
-    moves to the pole side; points on the hyperplane keep their value."""
+    moves to the pole side; a point on the hyperplane is its own mirror."""
     ps = f.pointset
     partner = ps.partner_indices(sigma)
     side = ps.points @ sigma.vector
     v = f.values
     mirrored = v[partner]
-    out = np.where(side > _ON_PLANE_TOL, np.maximum(v, mirrored),
-                   np.where(side < -_ON_PLANE_TOL, np.minimum(v, mirrored), v))
+    out = np.where(side > 0.0, np.maximum(v, mirrored),
+                   np.minimum(v, mirrored))
     return SphericalField(ps, out, check_range=False)
 
 
@@ -518,14 +510,8 @@ def field_to_json(f: SphericalField) -> str:
 def field_from_json(text: str) -> SphericalField:
     obj = json.loads(text)
     if "points" in obj:
-        pts = np.asarray(obj["points"], dtype=float)
-        pole = np.zeros(obj["n"])
-        pole[0] = obj["R"]
-        sigma = Reflection.from_vector(pole, pole)
-        ps = SpherePointSet(
-            n=obj["n"], radius=obj["R"], points=pts,
-            weights=np.full(len(pts), 1.0 / len(pts)), pole=pole,
-            reflections=[sigma])
+        ps = _mirrored_halves(obj["n"], obj["R"],
+                              np.asarray(obj["points"], dtype=float))
     else:
         ps = circle_grid(obj["M"])
     return SphericalField(ps, np.asarray(obj["values"], dtype=float),

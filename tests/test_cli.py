@@ -290,6 +290,12 @@ class TestDispatchErrors:
          "--max-chunks", "0"],
         ["gauss", "kernel-limit", "--n", "2", "--rho", "0.5",
          "--bigN", "50,200,50"],
+        ["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5",
+         "--spec", ""],
+        ["gauss", "factor-check", "--bigN", "253", "--n", "2"],
+        ["gauss", "factor-check", "--bigN", "1000", "--n", "2"],
+        ["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5",
+         "--spec", "[0.5, 1.5]"],
     ])
     def test_bad_input_exit_2_one_line(self, capsys, tmp_path, monkeypatch,
                                        argv):
@@ -302,6 +308,15 @@ class TestDispatchErrors:
         assert out == ""
         assert err.startswith("mostinf: error: ")
         assert len(err.splitlines()) == 1
+
+    def test_rejected_psi_reports_the_reason(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sphere", "polarize-check", "--grid", "8", "--rho", "0.3",
+                  "--psi", "abs:0.5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "abs_power requires p >= 1" in err
+        assert "_psi" not in err
 
     def test_truncated_checkpoint_exit_2(self, capsys, tmp_path):
         ckpt = tmp_path / "scan.json"
@@ -385,6 +400,11 @@ _SCHEMA = [
      ["measure", "pieces", "rho"],
      ["set_measure", "neg_cond_entropy_set", "neg_cond_entropy_halfspace",
       "margin", "mi_set", "mi_halfspace"], True, "name,value"),
+    (["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5", "--spec",
+      "[[-2.0, -1.0], [0.5, 1.5]]"],
+     ["measure", "pieces", "rho", "spec"],
+     ["set_measure", "neg_cond_entropy_set", "neg_cond_entropy_halfspace",
+      "margin", "mi_set", "mi_halfspace"], True, "name,value"),
     (["gauss", "kernel-limit", "--n", "2", "--rho", "0.5", "--bigN",
       "50,200"],
      ["bigN", "n", "rho"], ["rel_err_N50", "rel_err_N200", "errors_monotone"],
@@ -396,12 +416,15 @@ _SCHEMA = [
       "poisson_factor_mass", "poisson_factor_sigma",
       "poisson_factor_mass_quad", "poisson_factor_quad_err",
       "decomposition_ratio_const", "decomposition_ratio_x1sq",
-      "decomposition_consistent"], True, "name,value"),
+      "decomposition_ratio_exact", "decomposition_consistent"], True,
+     "name,value"),
 ]
 
 
-@pytest.mark.parametrize("argv,params,names,verdict,csv_header", _SCHEMA,
-                         ids=[" ".join(case[0][:2]) for case in _SCHEMA])
+@pytest.mark.parametrize(
+    "argv,params,names,verdict,csv_header", _SCHEMA,
+    ids=[" ".join(case[0][:2]) + (" --spec" if "--spec" in case[0] else "")
+         for case in _SCHEMA])
 def test_record_schema(capsys, tmp_path, monkeypatch, argv, params, names,
                        verdict, csv_header):
     monkeypatch.chdir(tmp_path)

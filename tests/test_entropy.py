@@ -163,6 +163,14 @@ class TestNormalHelpers:
                 [1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]]):
             assert abs(normal_cdf(normal_quantile(p)) - p) <= 1e-12
 
+    @pytest.mark.parametrize("p", [1 - 1e-3, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12])
+    def test_upper_tail_quantile(self, p):
+        # The upper tail 0.5 erfc(q / sqrt 2) carries every digit of 1 - p,
+        # which the round trip through normal_cdf rounds away.
+        q = normal_quantile(p)
+        assert 0.5 * math.erfc(q / math.sqrt(2)) == \
+            pytest.approx(1 - p, rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1])
     def test_quantile_domain(self, bad):
         with pytest.raises(ValueError):

@@ -404,6 +404,24 @@ class TestBigSphereKernel:
         assert abs(res["poisson_factor_mass_quad"] - 1.0) <= 1e-9
         assert res["pass"] is True
 
+    def test_factor_check_passes_where_the_mc_ratios_stray(self):
+        # At seed 56 the two MC decomposition ratios (0.964 and 1.071) sit
+        # 3.15 sigma apart; the closed-form ratio is 1 to rounding.
+        res = factor_check(LimitParams(N=50, n=2), 0.5, trials=5,
+                           samples=20000, seed=56)
+        assert res["decomposition_consistent"] is False
+        assert abs(res["decomposition_ratio_exact"] - 1.0) <= 1e-13
+        assert res["pass"] is True
+
+    def test_factor_check_limit_follows_samples(self):
+        # Fewer samples leave more room before the MC sums of squares
+        # overflow: N = 243 at n = 2 fits 2 samples but not 20,000.
+        factor_check(LimitParams(N=243, n=2), 0.5, trials=1, samples=2,
+                     seed=0)
+        with pytest.raises(ValueError, match="N = 243"):
+            factor_check(LimitParams(N=243, n=2), 0.5, trials=1,
+                         samples=20000, seed=0)
+
     def test_sphere_area_values(self):
         assert math.exp(log_sphere_area(2)) == pytest.approx(2 * math.pi)
         assert math.exp(log_sphere_area(3)) == pytest.approx(4 * math.pi)
@@ -423,6 +441,19 @@ class TestDecomposition:
         r2 = decomposition_integral_check("const", p, seed=9, samples=60000)
         assert abs(r1["ratio"] - r2["ratio"]) <= \
             3 * math.hypot(r1["sigma"], r2["sigma"])
+
+    @pytest.mark.parametrize("big_n,n", [(9, 2), (12, 3), (50, 2), (50, 3)])
+    def test_exact_ratio_of_the_corrected_exponent_is_one(self, big_n, n):
+        res = decomposition_integral_check("const", LimitParams(N=big_n, n=n),
+                                           seed=1, samples=2)
+        assert abs(res["ratio_exact"] - 1.0) <= 3e-14
+
+    def test_exact_ratio_of_the_printed_exponent_matches_mc(self):
+        res = decomposition_integral_check("const", LimitParams(N=9, n=2),
+                                           seed=1, samples=60000,
+                                           exponent="printed")
+        assert res["ratio_exact"] == pytest.approx(6 / 7, rel=1e-13)
+        assert abs(res["ratio_exact"] - res["ratio"]) <= 3 * res["sigma"]
 
     def test_printed_exponent_ratio_is_g_dependent(self):
         # With the (N-n-3)/2 power the two sides are not related by one

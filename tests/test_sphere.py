@@ -10,6 +10,7 @@ from mostinf.entropy import PsiSpec, binary_entropy
 from mostinf.sphere import (
     KernelSpec,
     Reflection,
+    SpherePointSet,
     SphericalField,
     cap_measure,
     circle_grid,
@@ -96,6 +97,41 @@ class TestSphereSample:
     def test_odd_size_rejected(self):
         with pytest.raises(ValueError):
             sphere_sample(3, 501, seed=0)
+
+    def test_map_is_the_half_swap(self):
+        ps = sphere_sample(4, 300, seed=3)
+        np.testing.assert_array_equal(ps.partner_indices(ps.reflections[0]),
+                                      (np.arange(300) + 150) % 300)
+
+
+class TestPointSetConstruction:
+    def grid_parts(self, m=8):
+        theta = 2 * np.pi * np.arange(m) / m
+        points = np.column_stack([np.cos(theta), np.sin(theta)])
+        return points, np.array([1.0, 0.0])
+
+    def test_map_that_does_not_close_rejected(self):
+        points, pole = self.grid_parts()
+        sigma = Reflection.from_vector([np.sin(np.pi / 8), -np.cos(np.pi / 8)],
+                                       pole)
+        SpherePointSet(2, 1.0, points, pole, [(sigma, (1 - np.arange(8)) % 8)])
+        with pytest.raises(ValueError, match="not closed"):
+            SpherePointSet(2, 1.0, points, pole,
+                           [(sigma, (2 - np.arange(8)) % 8)])
+
+    def test_plane_through_the_pole_rejected(self):
+        points, pole = self.grid_parts()
+        # The polar axis maps j to -j, a closed map, but its plane holds
+        # the pole.
+        with pytest.raises(ValueError, match="pole"):
+            SpherePointSet(2, 1.0, points, pole,
+                           [(Reflection.from_vector([0.0, 1.0]),
+                             (-np.arange(8)) % 8)])
+
+    def test_points_off_the_sphere_rejected(self):
+        points, pole = self.grid_parts()
+        with pytest.raises(ValueError, match="sphere"):
+            SpherePointSet(2, 1.0, 1.01 * points, pole, [])
 
 
 class TestCapMeasure:
@@ -465,3 +501,13 @@ class TestSnapshots:
         back = field_from_json(blob)
         np.testing.assert_allclose(back.pointset.points, ps.points,
                                    atol=1e-12)
+
+    def test_edited_points_rejected_at_load(self):
+        # Swapping two coordinates keeps the point on the sphere but breaks
+        # its pairing with the mirror image in the other half.
+        obj = json.loads(field_to_json(
+            SphericalField(sphere_sample(3, 40, seed=2), np.zeros(40))))
+        x, y, z = obj["points"][3]
+        obj["points"][3] = [y, x, z]
+        with pytest.raises(ValueError, match="not closed"):
+            field_from_json(json.dumps(obj))
