@@ -61,6 +61,19 @@ def _rho(value: str) -> float:
     return r
 
 
+def _spec(text: str | None) -> list | None:
+    """--spec: None when absent, else JSON that must be a list of [a, b]
+    pairs (``null`` is no list)."""
+    if text is None:
+        return None
+    spec = json.loads(text)
+    if not isinstance(spec, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in spec):
+        raise ValueError(f"--spec must be a JSON list of [a, b] pairs, "
+                         f"got {text!r}")
+    return spec
+
+
 @dataclass
 class RunRecord:
     command: str
@@ -251,10 +264,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(
         params=lambda a: {
             "measure": a.measure, "rho": a.rho, "pieces": a.pieces,
-            **({} if a.spec is None else {"spec": json.loads(a.spec)})},
+            **({} if a.spec is None else {"spec": _spec(a.spec)})},
         call=lambda a: gauss.halfspace_check(
-            a.measure, a.rho, a.pieces, a.seed,
-            None if a.spec is None else json.loads(a.spec)))
+            a.measure, a.rho, a.pieces, a.seed, _spec(a.spec)))
     p = g.add_parser("kernel-limit", parents=[common])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho", type=_rho, required=True)

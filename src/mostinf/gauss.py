@@ -486,17 +486,22 @@ _A_BOUND_DRAWS = 100000
 def factor_check(params: LimitParams, rho: float, trials: int, samples: int,
                  seed: int) -> dict:
     """Every check of the big-sphere factorization: its metrics in report
-    order, then the verdict under "pass".  ``trials`` random sphere pairs
-    test q_rho = U_{rho,N} x Poisson factor, 100,000 random ball pairs with
-    their own rho test A's lower bound and r <= rho, quadrature the factor's
-    mass, a closed form the decomposition ratio for g = 1, and ``samples``
-    draws each the MC mass and decomposition ratios, which are reported."""
+    order, then the verdict under "pass".  ``trials`` random sphere pairs,
+    whose retained parts y, z are drawn from [-1, 1]^n and so need
+    n <= R^2, test q_rho = U_{rho,N} x Poisson factor, 100,000 random ball
+    pairs with their own rho test A's lower bound and r <= rho, quadrature
+    the factor's mass, a closed form the decomposition ratio for g = 1, and
+    ``samples`` draws each the MC mass and decomposition ratios, which are
+    reported."""
     if trials < 0 or samples < 2:
         raise ValueError("factor check needs trials >= 0 and samples >= 2; "
                          f"got {trials}, {samples}")
     rho = _check_rho(rho)
     rng = np.random.default_rng(seed)
     N, n, R, d = params.N, params.n, params.R, params.N - params.n
+    if n > N - n - 3:
+        raise ValueError(f"trial vectors in [-1, 1]^n need n <= R^2 = "
+                         f"N - n - 3; got n = {n}, N = {N}")
     # The decomposition's MC sums ``samples`` squares of values up to
     # R^(N+1) |S^(N-1)|, or R^(N+1) vol(B^n) |S^(d-1)| on the split side.
     log_peak = (N + 1) * math.log(R) + max(

@@ -5,12 +5,27 @@ Every batched mutual-information call goes through one count-vector kernel
 T_rho f(y) = sum_d w_d c_d(y), where c_d(y) counts the ones at Hamming
 distance d from y and w_d = alpha^d (1 - alpha)^(n - d).  The count vector
 (c_0..c_n) takes at most 17,424 values (n = 5), so one exact float32 matmul
-gives each y a mixed-radix code, one gather reads the binary entropy of
-that code's smoothed value from a cached table, and one row mean finishes
-the Jensen gap.  One chunked driver, ``exhaustive_verify``, scans all
-tables for n = 2..5 through their even table integers (a complement has the
-same value), with a resumable checkpoint at every n: n <= 4 takes
-milliseconds in one chunk, n = 5 (2^31 representatives) minutes.
+gives each y a mixed-radix code (and each table its ones count), one gather
+reads the binary entropy of that code's smoothed value from a cached
+table, and one row mean finishes the Jensen gap.  One chunked driver,
+``exhaustive_verify``, scans all tables for n = 2..5 through their even
+table integers (a complement has the same value), with a resumable
+checkpoint at every n: n <= 4 takes milliseconds in one chunk, n = 5
+(2^31 representatives) one to a few minutes.
+
+The scan sends only some tables through the kernel.  Split a table f on
+its top coordinate into f0 (the low 2^(n-1) bits) and f1 (the high bits).
+Then T_rho f(b, y') = (1 - alpha) T_rho f_b(y') + alpha T_rho f_(1-b)(y'),
+and h is concave, so E h(T_rho f) >= (H(f0) + H(f1)) / 2 with
+H(g) = E h(T_rho g) on n - 1 bits.  Hence
+
+    I(f) <= U(f0, f1) = h((|f0| + |f1|) / 2^n) - (H(f0) + H(f1)) / 2.
+
+A table whose U lies more than ``PRUNE_SLACK`` (1e-9) below the running
+maximum is skipped.  The float error of U and of the kernel is about
+1e-16, far below PRUNE_SLACK - 2 ``TIE_TOL``, so a skipped table is neither
+the maximum nor a near-tie of it: ``max_mi``, the witnesses and every
+checkpoint are the numbers a scan of every table gives.
 """
 
 from __future__ import annotations
@@ -73,23 +88,28 @@ class SearchReport:
 
 
 MAX_KERNEL_N = 5
+# Scans at this many alpha values keep their tables cached; each reads the
+# n-bit and the (n - 1)-bit kernel.
+CACHED_ALPHAS = 16
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=2 * CACHED_ALPHAS)
 def _count_kernel(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Code matrix R and entropy table H of the count-vector kernel.
 
     ``tables @ R`` gives, at each y, the mixed-radix code of the count
-    vector (c_0..c_n), c_d = number of ones at Hamming distance d from y;
-    ``H[code]`` is the binary entropy of T_rho f(y) = sum_d w_d c_d.  H is
-    built from the smaller of the two smoothed masses, so a table and its
-    complement read bit-identical entropies and a constant table reads 0.
+    vector (c_0..c_n), c_d = number of ones at Hamming distance d from y,
+    and in a last column the table's ones count; ``H[code]`` is the binary
+    entropy of T_rho f(y) = sum_d w_d c_d.  H is built from the smaller of
+    the two smoothed masses, so a table and its complement read
+    bit-identical entropies and a constant table reads 0.
     """
     sizes = np.array([math.comb(n, d) for d in range(n + 1)])
     radix = np.concatenate(([1], np.cumprod(sizes + 1)[:-1]))
     j = np.arange(1 << n)
     # Codes stay below 2^24, so every float32 partial sum is exact.
-    R = radix[_popcount(j[:, None] ^ j[None, :])].astype(np.float32)
+    R = np.hstack((radix[_popcount(j[:, None] ^ j[None, :])],
+                   np.ones((1 << n, 1), dtype=int))).astype(np.float32)
     counts = np.arange(int(np.prod(sizes + 1)))[:, None] // radix % (sizes + 1)
     w = _distance_weights(n, alpha)
     p = np.zeros(counts.shape[0])
@@ -105,12 +125,14 @@ def _count_kernel(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return R, H
 
 
-def _batched_mi(tables: np.ndarray, alpha: float) -> np.ndarray:
-    """Mutual information of many 0/1 tables at once; rows are tables.
+def _kernel_terms(tables: np.ndarray,
+                  alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ones count and E_y h(T_rho f(y)) of many 0/1 tables at once; rows
+    are tables.
 
-    One float32 matmul turns every row into count-vector codes, one gather
-    reads their smoothed entropies, and one row mean finishes the Jensen
-    gap h(E f) - E_y h(T_rho f(y)).
+    One float32 matmul turns every row into count-vector codes and its ones
+    count, one gather reads the codes' smoothed entropies, and one row mean
+    averages them.
     """
     n = int(tables.shape[-1]).bit_length() - 1
     if tables.shape[-1] != 1 << n or not 1 <= n <= MAX_KERNEL_N:
@@ -118,8 +140,14 @@ def _batched_mi(tables: np.ndarray, alpha: float) -> np.ndarray:
                          f"1 <= n <= {MAX_KERNEL_N}, got {tables.shape[-1]}")
     R, H = _count_kernel(n, float(alpha))
     codes = (tables.astype(np.float32) @ R).astype(np.int32)
-    mu = np.mean(tables, axis=-1)
-    return binary_entropy(mu) - np.mean(H[codes], axis=-1)
+    return codes[..., -1], np.mean(H[codes[..., :-1]], axis=-1)
+
+
+def _batched_mi(tables: np.ndarray, alpha: float) -> np.ndarray:
+    """Mutual information of many 0/1 tables at once; rows are tables: the
+    Jensen gap h(E f) - E_y h(T_rho f(y))."""
+    ones, smoothed = _kernel_terms(tables, alpha)
+    return binary_entropy(ones / tables.shape[-1]) - smoothed
 
 
 def _bits_matrix(table_ints: np.ndarray, size: int) -> np.ndarray:
@@ -127,6 +155,50 @@ def _bits_matrix(table_ints: np.ndarray, size: int) -> np.ndarray:
     raw = np.ascontiguousarray(table_ints, dtype="<i8").view(np.uint8)
     return np.unpackbits(raw.reshape(-1, 8), axis=1, count=size,
                          bitorder="little")
+
+
+PRUNE_SLACK = 1e-9     # > 2 TIE_TOL plus the float error of U and the kernel
+PRUNE_PROBE = 64       # rows of greatest U evaluated before the cut is set
+KERNEL_BLOCK = 1 << 14  # rows per kernel call
+
+
+@functools.lru_cache(maxsize=CACHED_ALPHAS)
+def _half_bounds(n: int, alpha: float) -> tuple[np.ndarray, ...]:
+    """The terms of the half-split bound U for n-bit tables: the ones count
+    and H(g) = E h(T_rho g) of every (n - 1)-bit half g, indexed by its
+    table integer, and h(k / 2^n) for k = 0..2^n."""
+    half = 1 << (n - 1)
+    ints = np.arange(1 << half, dtype=np.int64)
+    blocks = [_kernel_terms(_bits_matrix(ints[lo:lo + KERNEL_BLOCK], half),
+                            alpha)
+              for lo in range(0, ints.size, KERNEL_BLOCK)]
+    out = tuple(np.concatenate(terms) for terms in zip(*blocks)) \
+        + (binary_entropy(np.arange(2 * half + 1) / (2 * half)),)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _pruned_mi(reps: np.ndarray, n: int, alpha: float,
+               best: float) -> np.ndarray:
+    """MI of the tables ``reps``, or -inf where the half-split bound U puts
+    a table more than PRUNE_SLACK below ``best`` or below the best of the
+    PRUNE_PROBE tables of greatest U, which are evaluated first."""
+    size = 1 << n
+    ones, ent, h_total = _half_bounds(n, alpha)
+    f0, f1 = reps & ((1 << (size >> 1)) - 1), reps >> (size >> 1)
+    bound = h_total[ones[f0] + ones[f1]] - 0.5 * (ent[f0] + ent[f1])
+    mi = np.full(reps.size, -np.inf)
+    probe = np.argpartition(bound, -PRUNE_PROBE)[-PRUNE_PROBE:] \
+        if reps.size > PRUNE_PROBE else np.arange(reps.size)
+    mi[probe] = _batched_mi(_bits_matrix(reps[probe], size), alpha)
+    todo = bound >= max(best, float(np.max(mi[probe]))) - PRUNE_SLACK
+    todo[probe] = False
+    rest = np.flatnonzero(todo)
+    for lo in range(0, rest.size, KERNEL_BLOCK):
+        rows = rest[lo:lo + KERNEL_BLOCK]
+        mi[rows] = _batched_mi(_bits_matrix(reps[rows], size), alpha)
+    return mi
 
 
 def _scan_report(n: int, alpha: float, max_mi: float, argmax: list[int],
@@ -293,13 +365,15 @@ def _save_checkpoint(path: Path, state: dict) -> None:
 
 
 def _report_progress(n: int, done: int, first: int, total: int,
-                     chunk_size: int, elapsed: float) -> None:
-    """One stderr line: chunks done, raw tables per second, time left."""
+                     chunk_size: int, elapsed: float, evaluated: int) -> None:
+    """One stderr line: chunks done, raw tables per second, time left and
+    the share of this call's tables that the kernel evaluated."""
     rate = 2 * (done - first) / elapsed if elapsed > 0.0 else 0.0
     eta = f"{2 * (total - done) / rate:.0f} s" if rate > 0.0 else "unknown"
     chunks = f"{math.ceil(done / chunk_size)}/{math.ceil(total / chunk_size)}"
-    print(f"scan_n{n}: {chunks} chunks, {rate:.4g} tables/s, ETA {eta}",
-          file=sys.stderr, flush=True)
+    share = 100.0 * evaluated / (done - first)
+    print(f"scan_n{n}: {chunks} chunks, {rate:.4g} tables/s, ETA {eta}, "
+          f"evaluated {share:.1f}%", file=sys.stderr, flush=True)
 
 
 def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
@@ -312,7 +386,16 @@ def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
     is JSON keyed by a table-index watermark, replaced after every chunk;
     ``max_chunks`` ends the call early, and an unfinished scan certifies
     nothing.  A scan of several chunks prints progress (chunks, tables/s,
-    ETA) to stderr at most every ``PROGRESS_EVERY_S`` s and when it ends.
+    ETA, share of tables evaluated) to stderr at most every
+    ``PROGRESS_EVERY_S`` s and when it ends.
+
+    The kernel evaluates only the tables whose half-split bound
+    I(f) <= U(f0, f1) = h((|f0| + |f1|) / 2^n) - (H(f0) + H(f1)) / 2 (see
+    the module docstring) reaches the running maximum less PRUNE_SLACK =
+    1e-9; the others read -inf.  PRUNE_SLACK exceeds 2 ``TIE_TOL`` by far
+    more than the float error (about 1e-16), so no skipped table could have
+    been the maximum or one of its near-ties, and the report and checkpoint
+    are those of a scan of every table.
     """
     if not 2 <= n <= MAX_KERNEL_N:
         raise ValueError(f"full scan supports 2 <= n <= {MAX_KERNEL_N}, "
@@ -335,11 +418,13 @@ def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
     if end == first == 0:
         raise ValueError("max_chunks=0 on a fresh scan scans nothing")
     progress = total_reps > chunk_size
+    evaluated = 0
     start = last_report = time.monotonic()
     for lo in range(first, end, chunk_size):
         hi = min(lo + chunk_size, end)
         reps = np.arange(lo, hi, dtype=np.int64) << 1  # even table ints
-        mi = _batched_mi(_bits_matrix(reps, size), alpha)
+        mi = _pruned_mi(reps, n, alpha, state["max_mi"])
+        evaluated += int(np.count_nonzero(np.isfinite(mi)))
         chunk_max = float(np.max(mi))
         if chunk_max > state["max_mi"] + TIE_TOL:
             state["max_mi"] = chunk_max
@@ -355,11 +440,12 @@ def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
             _save_checkpoint(path, state)
         now = time.monotonic()
         if progress and now - last_report >= PROGRESS_EVERY_S:
-            _report_progress(n, hi, first, total_reps, chunk_size, now - start)
+            _report_progress(n, hi, first, total_reps, chunk_size,
+                             now - start, evaluated)
             last_report = now
     if progress and end > first:
         _report_progress(n, end, first, total_reps, chunk_size,
-                         time.monotonic() - start)
+                         time.monotonic() - start, evaluated)
     # A checkpoint may hold even witnesses only.
     witnesses = sorted(
         set(state["witnesses"])

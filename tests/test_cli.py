@@ -296,6 +296,12 @@ class TestDispatchErrors:
         ["gauss", "factor-check", "--bigN", "1000", "--n", "2"],
         ["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5",
          "--spec", "[0.5, 1.5]"],
+        ["gauss", "factor-check", "--bigN", "20", "--n", "12"],
+        ["gauss", "factor-check", "--bigN", "300", "--n", "290"],
+        ["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5",
+         "--spec", "null"],
+        ["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5",
+         "--spec", "[[0.1, 0.5, 0.9]]"],
     ])
     def test_bad_input_exit_2_one_line(self, capsys, tmp_path, monkeypatch,
                                        argv):

@@ -422,6 +422,21 @@ class TestBigSphereKernel:
             factor_check(LimitParams(N=243, n=2), 0.5, trials=1,
                          samples=20000, seed=0)
 
+    @pytest.mark.parametrize("big_n, n", [(20, 12), (300, 290), (14, 6)])
+    def test_factor_check_needs_the_trial_cube_inside_the_ball(self, big_n,
+                                                                n):
+        # y, z are drawn from [-1, 1]^n, which lies in the ball of radius R
+        # only while n <= R^2 = N - n - 3.
+        with pytest.raises(ValueError, match="n <= R"):
+            factor_check(LimitParams(N=big_n, n=n), 0.5, trials=1,
+                         samples=2, seed=0)
+
+    def test_factor_check_takes_the_cube_on_the_sphere(self):
+        # n = R^2: the corner of the cube lies on the sphere of radius R.
+        res = factor_check(LimitParams(N=13, n=5), 0.5, trials=3, samples=2,
+                           seed=0)
+        assert res["factorization_worst_rel"] <= 1e-9
+
     def test_sphere_area_values(self):
         assert math.exp(log_sphere_area(2)) == pytest.approx(2 * math.pi)
         assert math.exp(log_sphere_area(3)) == pytest.approx(4 * math.pi)

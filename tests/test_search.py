@@ -29,19 +29,72 @@ from mostinf.search import (
 )
 
 
-def fwht_batched_mi(tables, alpha):
-    """Reference route: smooth every row by two Walsh-Hadamard transforms."""
+def fwht_smoothed_entropy(tables, alpha):
+    """Reference E_y h(T_rho f(y)): smooth every row by two Walsh-Hadamard
+    transforms."""
     size = tables.shape[-1]
     coeffs = _hadamard_inplace(tables.astype(float)) / size
     coeffs *= (1.0 - 2.0 * alpha) ** _popcount(np.arange(size))
     smoothed = np.clip(_hadamard_inplace(coeffs), 0.0, 1.0)
+    return binary_entropy(smoothed).mean(axis=-1)
+
+
+def fwht_batched_mi(tables, alpha):
+    """Reference route to the mutual information of every row."""
     return (binary_entropy(tables.mean(axis=-1))
-            - binary_entropy(smoothed).mean(axis=-1))
+            - fwht_smoothed_entropy(tables, alpha))
 
 
 def all_tables(n):
     size = 1 << n
     return _bits_matrix(np.arange(1 << size, dtype=np.int64), size)
+
+
+def half_split_bound(table_ints, n, alpha):
+    """U(f0, f1) = h((|f0| + |f1|) / 2^n) - (H(f0) + H(f1)) / 2, where f0
+    holds the low 2^(n-1) bits of each table integer and f1 the high ones."""
+    half = 1 << (n - 1)
+    low = _bits_matrix(table_ints & ((1 << half) - 1), half)
+    high = _bits_matrix(table_ints >> half, half)
+    mean = (low.sum(axis=-1) + high.sum(axis=-1)) / (2 * half)
+    return binary_entropy(mean) - 0.5 * (fwht_smoothed_entropy(low, alpha)
+                                         + fwht_smoothed_entropy(high, alpha))
+
+
+def unpruned_scan(n, alpha, state, chunk_size, max_chunks):
+    """Oracle: the scan loop with every even table through the kernel, from
+    a checkpoint state; returns the state it would store."""
+    state = dict(state)
+    full = (1 << (1 << n)) - 1
+    end = min(1 << ((1 << n) - 1), state["next"] + max_chunks * chunk_size)
+    for lo in range(state["next"], end, chunk_size):
+        hi = min(lo + chunk_size, end)
+        reps = np.arange(lo, hi, dtype=np.int64) << 1
+        mi = _batched_mi(_bits_matrix(reps, 1 << n), alpha)
+        chunk_max = float(np.max(mi))
+        if chunk_max > state["max_mi"] + search.TIE_TOL:
+            state["max_mi"] = chunk_max
+            state["witnesses"] = []
+        hits = reps[mi >= state["max_mi"] - search.TIE_TOL]
+        near = np.concatenate((hits[:search.ARGMAX_CAP],
+                               hits[-search.ARGMAX_CAP:] ^ full))
+        state["witnesses"] = sorted(
+            set(state["witnesses"]) | set(near.tolist()))[:search.ARGMAX_CAP]
+        state["next"] = hi
+        state["scanned"] = 2 * hi
+    return state
+
+
+def count_kernel_rows(monkeypatch):
+    """Rows sent through ``search._batched_mi`` from now on, in a list."""
+    rows = [0]
+    kernel = search._batched_mi
+
+    def counting(tables, alpha):
+        rows[0] += tables.shape[0]
+        return kernel(tables, alpha)
+    monkeypatch.setattr(search, "_batched_mi", counting)
+    return rows
 
 
 class TestCountVectorKernel:
@@ -187,6 +240,125 @@ class TestExhaustiveVerify:
         assert partial.functions_scanned == 2 * 3 * 1024
         assert exhaustive_verify(4, 0.1, checkpoint=ckpt, chunk_size=1024,
                                  max_chunks=0) == partial
+
+
+class TestHalfSplitBound:
+    # h is concave and T f(b, y') = (1 - alpha) T f_b(y') + alpha T f_(1-b)(y'),
+    # so E h(T f) >= (H(f0) + H(f1)) / 2 and I(f) <= U(f0, f1).
+    ALPHAS = [0.0, 0.1, 0.37, 0.5]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_bound_holds_on_every_n4_table(self, alpha):
+        ints = np.arange(1 << 16, dtype=np.int64)
+        mi = _batched_mi(_bits_matrix(ints, 16), alpha)
+        assert np.all(mi <= half_split_bound(ints, 4, alpha) + 1e-14)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_bound_holds_on_sampled_n5_tables(self, alpha):
+        rng = np.random.default_rng(31)
+        ints = rng.integers(0, 1 << 32, 1 << 16, dtype=np.int64)
+        mi = _batched_mi(_bits_matrix(ints, 32), alpha)
+        assert np.all(mi <= half_split_bound(ints, 5, alpha) + 1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_scan_terms_match_the_reference(self, n):
+        half = 1 << (n - 1)
+        ints = np.arange(1 << half, dtype=np.int64)
+        for alpha in self.ALPHAS:
+            ones, ent, h_total = search._half_bounds(n, alpha)
+            assert np.array_equal(ones, _bits_matrix(ints, half).sum(axis=1))
+            want = fwht_smoothed_entropy(_bits_matrix(ints, half), alpha)
+            assert np.max(np.abs(ent - want)) <= 1e-14
+            assert np.array_equal(
+                h_total, binary_entropy(np.arange(2 * half + 1) / (2 * half)))
+
+
+class TestPrunedScan:
+    TOTAL = 1 << 31  # even n = 5 tables
+
+    @staticmethod
+    def start(alpha, lo):
+        return {"n": 5, "alpha": alpha, "next": lo, "max_mi": -1.0,
+                "witnesses": [], "scanned": 2 * lo}
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.45])
+    @pytest.mark.parametrize("chunk_size", [1000, 3 * 2048])
+    @pytest.mark.parametrize("where", ["first", "middle", "dictator", "last"])
+    def test_n5_chunk_equals_the_oracle(self, tmp_path, alpha, chunk_size,
+                                        where):
+        index = {"first": 0, "middle": self.TOTAL // 2 + 12345,
+                 "dictator": 0xAAAAAAAA >> 1, "last": self.TOTAL - 1}[where]
+        lo = index // chunk_size * chunk_size
+        state = self.start(alpha, lo)
+        ckpt = tmp_path / "scan.json"
+        ckpt.write_text(json.dumps(state))
+        report = exhaustive_verify(5, alpha, checkpoint=str(ckpt),
+                                   chunk_size=chunk_size, max_chunks=1)
+        want = unpruned_scan(5, alpha, state, chunk_size, 1)
+        assert json.loads(ckpt.read_text()) == want
+        assert report.max_mi == want["max_mi"]
+        full = (1 << 32) - 1
+        assert report.argmax == sorted(
+            set(want["witnesses"])
+            | {t ^ full for t in want["witnesses"]})[:search.ARGMAX_CAP]
+        if where == "dictator":
+            assert 0xAAAAAAAA in report.argmax
+            assert report.max_mi == _batched_mi(
+                _bits_matrix(np.array([0xAAAAAAAA]), 32), alpha)[0]
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.45])
+    @pytest.mark.parametrize("chunk_size", [1000, 3 * 2048])
+    def test_resumed_n5_slice_equals_the_oracle(self, tmp_path, alpha,
+                                                chunk_size):
+        # Three chunks across the half boundary at table 2^16, in two calls.
+        lo = (1 << 15) - chunk_size - 7
+        state = self.start(alpha, lo)
+        ckpt = tmp_path / "scan.json"
+        ckpt.write_text(json.dumps(state))
+        exhaustive_verify(5, alpha, checkpoint=str(ckpt),
+                          chunk_size=chunk_size, max_chunks=2)
+        report = exhaustive_verify(5, alpha, checkpoint=str(ckpt),
+                                   chunk_size=chunk_size, max_chunks=1)
+        want = unpruned_scan(5, alpha, state, chunk_size, 3)
+        assert json.loads(ckpt.read_text()) == want
+        assert report.max_mi == want["max_mi"]
+        assert report.functions_scanned == 2 * (lo + 3 * chunk_size)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.45])
+    def test_near_tie_below_a_stored_maximum_is_kept(self, tmp_path, alpha):
+        # The dictator 0xAAAAAAAA has equal halves, so its U equals its MI
+        # up to rounding.  A stored maximum TIE_TOL / 2 above that MI makes
+        # it a near-tie, which only a slack above TIE_TOL keeps.
+        dictator_mi = float(_batched_mi(
+            _bits_matrix(np.array([0xAAAAAAAA]), 32), alpha)[0])
+        lo = (0xAAAAAAAA >> 1) // 1000 * 1000
+        state = dict(self.start(alpha, lo),
+                     max_mi=dictator_mi + 0.5 * search.TIE_TOL)
+        ckpt = tmp_path / "scan.json"
+        ckpt.write_text(json.dumps(state))
+        report = exhaustive_verify(5, alpha, checkpoint=str(ckpt),
+                                   chunk_size=1000, max_chunks=1)
+        assert json.loads(ckpt.read_text()) == \
+            unpruned_scan(5, alpha, state, 1000, 1)
+        assert 0xAAAAAAAA in report.argmax
+
+    def test_kernel_sees_few_rows_at_small_alpha(self, monkeypatch):
+        rows = count_kernel_rows(monkeypatch)
+        exhaustive_verify(4, 0.1)
+        assert 0 < rows[0] <= 4096  # of 32,768 even tables
+
+    def test_kernel_sees_every_row_at_half(self, monkeypatch):
+        # At alpha = 1/2, T f is constant and U >= 0 = I by concavity.
+        rows = count_kernel_rows(monkeypatch)
+        exhaustive_verify(4, 0.5)
+        assert rows[0] == 1 << 15
+
+    def test_progress_reports_the_evaluated_share(self, capsys, monkeypatch):
+        rows = count_kernel_rows(monkeypatch)
+        exhaustive_verify(5, 0.2, chunk_size=1024, max_chunks=3)
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.endswith(f", evaluated {100 * rows[0] / 3072:.1f}%")
+        assert rows[0] < 3072
 
 
 class TestFixedMeanMax:
