@@ -4,6 +4,13 @@ The circle uses an exact uniform grid whose supported reflections map grid
 points to grid points, so the two-point identities behind the polarization
 inequality hold to float precision.  Higher-dimensional spheres use
 Monte Carlo point sets: a half and its mirror image across one hyperplane.
+
+Every point set's first listed mirror sigma has an index map P, an
+involution.  Since sigma is self-adjoint, K(<p_P(r), p_j>) = K(<p_r, p_P(j)>),
+so the kernel's rows on R = {i : i <= P[i]} determine the rest: with
+T = K[R, :], (Kw)[R] = T @ w and (Kw)[P[R]] = T @ w[P].  A point set caches
+only T, which is M/2 rows for a sample (P the half swap) and for a circle
+grid (P the axis l = 1, which maps j to 1 - j and fixes no point).
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-9
+# mc_check rejects a sample of more coordinates, or a half kernel of more
+# entries, than this (256 MiB of floats) before it allocates either.
+MC_MAX_ENTRIES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -82,8 +92,9 @@ class Reflection:
 
 class SpherePointSet:
     """Equal-weight points on a radius-R sphere with ``mirrors``: each
-    supported reflection sigma and its index map, whose p_map[j] must lie
-    within 1e-9 max(1, R) of sigma(p_j), checked at construction."""
+    supported reflection sigma and its index map, an involution whose
+    p_map[j] must lie within 1e-9 max(1, R) of sigma(p_j), checked at
+    construction."""
 
     def __init__(self, n: int, radius: float, points, pole, mirrors,
                  grid_m: int | None = None):
@@ -100,6 +111,7 @@ class SpherePointSet:
         if np.max(np.abs(norms - self.radius)) > tol:
             raise ValueError("points do not lie on the sphere")
         self._mirrors = {}
+        ident = np.arange(self.size)
         for sigma, partner in mirrors:
             if abs(float(np.dot(sigma.vector, self.pole))) <= \
                     _MATCH_TOL * self.radius:
@@ -109,8 +121,13 @@ class SpherePointSet:
                     sigma.apply(self.points) - self.points[partner],
                     axis=1)) > tol:
                 raise ValueError("point set is not closed under a reflection")
+            if (partner[partner] != ident).any():
+                raise ValueError("mirror map is not an involution")
             self._mirrors[sigma] = partner
         self.reflections = list(self._mirrors)
+        first = next(iter(self._mirrors.values()), ident)
+        rows = np.flatnonzero(ident <= first)
+        self._half = (rows, first[rows], first)     # R, P[R], P
         self._kernel_cache: dict = {}
 
     @property
@@ -128,9 +145,14 @@ class SpherePointSet:
         return self._mirrors[sigma]
 
     def kernel_matrix(self, kernel: "KernelSpec") -> np.ndarray:
+        """T = K[R, :], the kernel's rows on R = {i : i <= P[i]}, one point
+        of each pair of the first mirror's map P (all rows if there is no
+        mirror); ``kernel_apply`` gets the rows P[R] from
+        K(<p_P(r), p_j>) = K(<p_r, p_P(j)>).  Cached."""
         if kernel not in self._kernel_cache:
-            gram = self.points @ self.points.T
-            self._kernel_cache[kernel] = kernel.evaluate(gram, self.radius)
+            gram = self.points[self._half[0]] @ self.points.T
+            self._kernel_cache[kernel] = kernel._evaluate_owned(gram,
+                                                                self.radius)
         return self._kernel_cache[kernel]
 
 
@@ -202,12 +224,21 @@ class KernelSpec:
                    table=tuple(float(y) for y in table))
 
     def evaluate(self, inner, radius: float = 1.0):
-        s = np.asarray(inner, dtype=float)
+        """The kernel at inner products ``inner``, which it never writes.
+        A scalar ``inner`` gives a scalar, through ``[()]``."""
+        return self._evaluate_owned(np.array(inner, dtype=float), radius)[()]
+
+    def _evaluate_owned(self, s: np.ndarray, radius: float) -> np.ndarray:
+        """``evaluate`` on a float array the caller owns: the Poisson
+        formula overwrites ``s`` and returns it."""
         if self.kind == "poisson":
             rho, d = self.rho, self.dim
             # ||x - rho y||^2 = R^2 (1 + rho^2) - 2 rho <x,y>, >= R^2(1-rho)^2.
-            sq = radius ** 2 * (1.0 + rho ** 2) - 2.0 * rho * s
-            return (1.0 - rho ** 2) * radius ** d * sq ** (-d / 2.0)
+            s *= 2.0 * rho
+            np.subtract(radius ** 2 * (1.0 + rho ** 2), s, out=s)
+            s **= -d / 2.0
+            s *= (1.0 - rho ** 2) * radius ** d
+            return s
         if self.kind == "step":
             return (s >= self.threshold).astype(float)
         return np.interp(s, self.nodes, self.table)
@@ -259,7 +290,9 @@ def sphere_sample(n: int, m: int, seed: int) -> SpherePointSet:
     rng = np.random.default_rng(seed)
     half = rng.standard_normal((m // 2, n))
     half /= np.linalg.norm(half, axis=1, keepdims=True)
-    sigma = Reflection.from_vector(np.eye(n)[0])
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    sigma = Reflection.from_vector(e1)
     return _mirrored_halves(n, 1.0, np.vstack([half, sigma.apply(half)]))
 
 
@@ -306,10 +339,17 @@ def polarize(f: SphericalField, sigma: Reflection) -> SphericalField:
 
 
 def kernel_apply(kernel: KernelSpec, f: SphericalField) -> SphericalField:
-    """(Kf)_i = sum_j w_j K(<p_i, p_j>) f_j."""
+    """(Kf)_i = sum_j w_j K(<p_i, p_j>) f_j, from the stored rows
+    T = K[R, :]: (Kf)[R] = T @ wf and (Kf)[P[R]] = T @ wf[P], where P is the
+    first mirror's map and R = {i : i <= P[i]}."""
     ps = f.pointset
-    mat = ps.kernel_matrix(kernel)
-    out = mat @ (ps.weights * f.values)
+    rows, mirrored, partner = ps._half
+    half = ps.kernel_matrix(kernel)
+    wf = ps.weights * f.values
+    out = np.empty(ps.size)
+    # A fixed point i = P[i] lies in both R and P[R]; its row is T @ wf.
+    out[mirrored] = np.dot(half, wf[partner])
+    out[rows] = np.dot(half, wf)
     return SphericalField(ps, out, check_range=False)
 
 
@@ -401,7 +441,15 @@ def polarization_check(grid_m: int, rho: float, psi: PsiSpec, trials: int,
 def mc_check(dim: int, points: int, rho: float, seed: int) -> dict:
     """``polarization_inequality_check`` (Psi = t^2) of a random 0/1 field
     on ``sphere_sample(dim, points, seed)``, whose mean projection on the
-    pole must also lie within 3/sqrt(points) of 0."""
+    pole must also lie within 3/sqrt(points) of 0.  A sample of more than
+    ``MC_MAX_ENTRIES`` coordinates, or a half kernel of more entries, is
+    rejected before anything is allocated."""
+    if points > 0 and dim > 0 and max(points * dim, points // 2 * points) \
+            > MC_MAX_ENTRIES:
+        raise ValueError(
+            f"{points} points in R^{dim} need a {points} x {dim} sample and "
+            f"a {points // 2} x {points} kernel; each may hold at most "
+            f"MC_MAX_ENTRIES = {MC_MAX_ENTRIES} entries")
     ps = sphere_sample(dim, points, seed)
     rng = np.random.default_rng(seed + 1)
     f = SphericalField(ps, rng.integers(0, 2, points).astype(float))

@@ -276,6 +276,8 @@ class TestDispatchErrors:
          "--alpha", "0.1"],
         ["boolean", "taylor", "--n", "45"],
         ["sphere", "mc", "--dim", "4", "--points", "0"],
+        ["sphere", "mc", "--dim", "4", "--points", "2000000"],
+        ["sphere", "mc", "--dim", "100000", "--points", "2000"],
         ["boolean", "taylor", "--n", "4", "--trials", "-1"],
         ["sphere", "rearrange", "--grid", "16", "--rho", "0.5",
          "--steps", "-1"],

@@ -511,3 +511,162 @@ class TestSnapshots:
         obj["points"][3] = [y, x, z]
         with pytest.raises(ValueError, match="not closed"):
             field_from_json(json.dumps(obj))
+
+
+def kernel_formula(kernel, inner, radius):
+    """Each kind's kernel at the inner products ``inner``, one expression
+    per kind, as ``KernelSpec.evaluate`` must compute it."""
+    s = np.asarray(inner, dtype=float)
+    if kernel.kind == "poisson":
+        rho, d = kernel.rho, kernel.dim
+        sq = radius ** 2 * (1.0 + rho ** 2) - 2.0 * rho * s
+        return (1.0 - rho ** 2) * radius ** d * sq ** (-d / 2.0)
+    if kernel.kind == "step":
+        return (s >= kernel.threshold).astype(float)
+    return np.interp(s, kernel.nodes, kernel.table)
+
+
+def dense_kernel(kernel, ps):
+    """The full M x M kernel matrix: one M x M inner-product matrix, then
+    the kernel's formula."""
+    return kernel_formula(kernel, ps.points @ ps.points.T, ps.radius)
+
+
+def fixed_point_circle(m=16):
+    """The M-point circle whose only mirror is the axis at 2 pi / M, which
+    maps j to 2 - j and fixes points 1 and 1 + M/2."""
+    theta = 2 * np.pi * np.arange(m) / m
+    points = np.column_stack([np.cos(theta), np.sin(theta)])
+    pole = np.array([1.0, 0.0])
+    phi = 2 * np.pi / m
+    sigma = Reflection.from_vector([np.sin(phi), -np.cos(phi)], pole)
+    return SpherePointSet(2, 1.0, points, pole,
+                          [(sigma, (2 - np.arange(m)) % m)])
+
+
+HALF_KERNEL_SETS = (
+    [(f"sample-{d}-{m}", lambda d=d, m=m: sphere_sample(d, m, seed=d + m))
+     for d in (3, 4, 7) for m in (2, 10, 300)]
+    + [(f"grid-{m}", lambda m=m: circle_grid(m)) for m in (8, 64, 256)]
+    + [("fixed-points", fixed_point_circle)])
+
+
+class TestHalfKernel:
+    """The point set stores the kernel's rows R = {i : i <= P[i]} of its
+    first mirror's map P; kernel_apply must equal the dense product."""
+
+    @staticmethod
+    def kernels(dim, rho):
+        return [KernelSpec.poisson(rho, dim), KernelSpec.step(0.1),
+                KernelSpec.custom_monotone([-1.0, 0.0, 0.5, 1.0],
+                                           [0.0, 0.2, 1.0, 4.0])]
+
+    @staticmethod
+    def fields(ps, rng):
+        return ([rng.integers(0, 2, ps.size).astype(float) for _ in range(3)]
+                + [rng.uniform(0.0, 1.0, ps.size) for _ in range(3)])
+
+    @pytest.mark.parametrize("name,build", HALF_KERNEL_SETS,
+                             ids=[n for n, _ in HALF_KERNEL_SETS])
+    @pytest.mark.parametrize("rho", [0.0, 0.2])
+    def test_matches_dense_oracle(self, name, build, rho):
+        ps = build()
+        rng = np.random.default_rng(31)
+        rows = np.flatnonzero(
+            np.arange(ps.size) <= ps.partner_indices(ps.reflections[0]))
+        for kernel in self.kernels(ps.n, rho):
+            dense = dense_kernel(kernel, ps)
+            # Relative to the largest entry: the custom kernel nears 0 at
+            # inner product -1, where its rounding is not relatively small.
+            assert np.max(np.abs(ps.kernel_matrix(kernel) - dense[rows])) \
+                <= 1e-15 * np.max(np.abs(dense[rows])), (kernel.kind, name)
+            for values in self.fields(ps, rng):
+                want = dense @ (ps.weights * values)
+                got = kernel_apply(kernel, SphericalField(ps, values)).values
+                assert np.max(np.abs(got - want)) <= \
+                    1e-15 * np.max(np.abs(want)), (kernel.kind, name)
+
+    @pytest.mark.parametrize("name,build", HALF_KERNEL_SETS,
+                             ids=[n for n, _ in HALF_KERNEL_SETS])
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    def test_matches_dense_oracle_at_high_rho(self, name, build, rho):
+        # The stored rows take their inner products from an |R| x M product,
+        # the oracle from an M x M one, and the two may round an entry
+        # differently (at most n eps for unit vectors in R^n).  The Poisson
+        # kernel's relative slope d rho / ||x - rho y||^2 <= d rho / (1 -
+        # rho)^2 carries that rounding into the entries.
+        ps = build()
+        rng = np.random.default_rng(32)
+        kernel = KernelSpec.poisson(rho, ps.n)
+        tol = 1e-15 + ps.n * rho / (1.0 - rho) ** 2 * ps.n * 2.0 ** -52
+        rows = np.flatnonzero(
+            np.arange(ps.size) <= ps.partner_indices(ps.reflections[0]))
+        dense = dense_kernel(kernel, ps)
+        np.testing.assert_allclose(ps.kernel_matrix(kernel), dense[rows],
+                                   rtol=tol, atol=0.0)
+        for values in self.fields(ps, rng):
+            want = dense @ (ps.weights * values)
+            got = kernel_apply(kernel, SphericalField(ps, values)).values
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+    def test_half_of_the_rows_are_stored(self):
+        # A return to the dense M x M kernel fails here.
+        kernel = KernelSpec.poisson(0.5, 4)
+        assert sphere_sample(4, 2000, 0).kernel_matrix(kernel).shape == \
+            (1000, 2000)
+        circle = KernelSpec.poisson(0.5, 2)
+        assert circle_grid(64).kernel_matrix(circle).shape == (32, 64)
+        # Points 1 and 9 are their own pairs and keep their rows.
+        assert fixed_point_circle(16).kernel_matrix(circle).shape == (9, 16)
+
+    def test_map_that_is_not_an_involution_rejected(self):
+        # Point 8 duplicates point 0, so the axis at pi / 8 sends both to
+        # point 1, which goes back to 0 only: closed, but no involution.
+        theta = 2 * np.pi * np.arange(8) / 8
+        points = np.column_stack([np.cos(theta), np.sin(theta)])
+        points = np.vstack([points, points[:1]])
+        pole = np.array([1.0, 0.0])
+        sigma = Reflection.from_vector(
+            [np.sin(np.pi / 8), -np.cos(np.pi / 8)], pole)
+        partner = np.append((1 - np.arange(8)) % 8, 1)
+        with pytest.raises(ValueError, match="involution"):
+            SpherePointSet(2, 1.0, points, pole, [(sigma, partner)])
+
+
+class TestKernelEvaluate:
+    @pytest.mark.parametrize("kernel", [
+        KernelSpec.poisson(0.0, 3), KernelSpec.poisson(0.3, 2),
+        KernelSpec.poisson(0.7, 4), KernelSpec.poisson(0.5, 7),
+        KernelSpec.step(0.2),
+        KernelSpec.custom_monotone([-1.0, 0.0, 1.0], [0.0, 1.0, 3.0])],
+        ids=lambda k: f"{k.kind}-{k.rho}-{k.dim}")
+    @pytest.mark.parametrize("radius", [1.0, 2.5])
+    def test_bit_equal_and_input_untouched(self, kernel, radius):
+        rng = np.random.default_rng(34)
+        inner = rng.uniform(-radius ** 2, radius ** 2, (7, 11))
+        kept = inner.copy()
+        got = kernel.evaluate(inner, radius)
+        assert np.array_equal(inner, kept)
+        assert np.array_equal(got, kernel_formula(kernel, kept, radius))
+        scalar = kernel.evaluate(0.25, radius)
+        assert scalar == kernel_formula(kernel, 0.25, radius)
+        assert np.ndim(scalar) == 0
+
+
+class TestMcCap:
+    def test_oversized_input_rejected_before_sampling(self, monkeypatch):
+        import mostinf.sphere as sphere_mod
+
+        def boom(*args):
+            raise AssertionError("sample drawn")
+        monkeypatch.setattr(sphere_mod, "sphere_sample", boom)
+        for dim, points in ((4, 2_000_000), (100_000, 2000), (4, 8194)):
+            with pytest.raises(ValueError, match="MC_MAX_ENTRIES"):
+                sphere_mod.mc_check(dim, points, 0.5, 0)
+        # 4096 x 8192 entries is the cap itself, so the sample is drawn.
+        with pytest.raises(AssertionError, match="sample drawn"):
+            sphere_mod.mc_check(4, 8192, 0.5, 0)
+
+    def test_sample_in_high_dimension(self):
+        ps = sphere_sample(100_000, 2, seed=0)
+        assert ps.points.shape == (2, 100_000)
