@@ -30,20 +30,15 @@ __all__ = [
     "FourierSpectrum",
     "SymmetricProfile",
     "fwht",
-    "fwht_inverse",
-    "noise_operator",
     "mutual_information_direct",
     "mutual_information_phi",
     "mi_check",
     "degree_weight",
-    "variance_trho",
-    "subset_mask",
     "dictator",
     "and_k",
     "lex",
     "hamming_ball",
     "majority",
-    "indicator_to_pm",
     "make_family",
     "family_check",
     "and_mi_exact",
@@ -51,6 +46,7 @@ __all__ = [
     "symmetric_mi",
     "hamming_ball_w1_exact",
     "c2_coefficient",
+    "taylor_curvature_check",
     "taylor_check",
     "perfect_code_mi",
     "perfect_code_check",
@@ -81,16 +77,6 @@ def _table_size(n: int) -> int:
     if not 1 <= n <= MAX_TRANSFORM_N:
         raise ValueError(f"dimension {n} outside 1..{MAX_TRANSFORM_N}")
     return 1 << n
-
-
-def subset_mask(coords, n: int) -> int:
-    """Bitmask of the coordinate subset, coordinate i at bit (n - i)."""
-    m = 0
-    for i in coords:
-        if not 1 <= i <= n:
-            raise ValueError(f"coordinate {i} outside 1..{n}")
-        m |= 1 << (n - i)
-    return m
 
 
 class BooleanFunction:
@@ -128,9 +114,6 @@ class BooleanFunction:
 
     def mean(self) -> float:
         return float(np.mean(self.values()))
-
-    def complement(self) -> "BooleanFunction":
-        return BooleanFunction(self.n, 1 - self.bits, self.convention)
 
     def reread(self, convention: str) -> "BooleanFunction":
         return BooleanFunction(self.n, self.bits, convention)
@@ -235,16 +218,6 @@ def fwht(f: BooleanFunction) -> FourierSpectrum:
     vals = f.values()
     coeffs = _hadamard_inplace(vals) / (1 << f.n)
     return FourierSpectrum(f.n, coeffs)
-
-
-def fwht_inverse(spec: FourierSpectrum) -> np.ndarray:
-    """Value table recovered from a spectrum."""
-    return _hadamard_inplace(spec.coeffs)
-
-
-def noise_operator(spec: FourierSpectrum, rho: float) -> np.ndarray:
-    """Smoothed value table: level-|S| coefficients scaled by rho^|S|."""
-    return _damped_inverse(spec.coeffs, rho)
 
 
 def _damped_inverse(coeffs: np.ndarray, rho: float) -> np.ndarray:
@@ -370,17 +343,6 @@ def degree_weight(spec: FourierSpectrum, k: int) -> float:
     return float(math.fsum((sel * sel).tolist()))
 
 
-def variance_trho(spec: FourierSpectrum, rho: float) -> float:
-    """Variance of the smoothed function, from a +/-1-valued source spectrum."""
-    total = math.fsum((spec.coeffs * spec.coeffs).tolist())
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError("spectrum does not come from a +/-1-valued table")
-    levels = _popcount(np.arange(1 << spec.n))
-    c2 = spec.coeffs * spec.coeffs
-    terms = np.where(levels > 0, c2 * float(rho) ** (2 * levels), 0.0)
-    return float(math.fsum(terms.tolist()))
-
-
 # ---------------------------------------------------------------------------
 # structured families
 
@@ -426,11 +388,6 @@ def majority(n: int) -> BooleanFunction:
     if n % 2 == 0:
         raise ValueError("majority needs odd n")
     return hamming_ball(n, 1 << (n - 1))
-
-
-def indicator_to_pm(f: BooleanFunction) -> BooleanFunction:
-    """+/-1 reading that is +1 exactly where the 0/1 indicator is 1."""
-    return BooleanFunction(f.n, 1 - f.bits, PLUS_MINUS)
 
 
 _FAMILY_BUILDERS = {

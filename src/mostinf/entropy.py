@@ -180,15 +180,6 @@ class PsiSpec:
         return cls("custom_table", table=tuple(float(v) for v in values))
 
     @property
-    def is_increasing(self) -> bool:
-        """True when the function is nondecreasing on its working domain."""
-        if self.kind in ("square", "abs_power"):
-            return True  # on the nonnegative inputs these functionals see
-        if self.kind == "custom_table":
-            return bool(np.all(np.diff(self.table) >= -1e-15))
-        return False
-
-    @property
     def domain(self):
         """Closed interval of valid inputs, or None for the whole line."""
         if self.kind in ("neg_binary_entropy", "custom_table"):

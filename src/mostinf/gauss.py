@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .entropy import PsiSpec, binary_entropy, normal_cdf, normal_pdf, \
-    normal_quantile
+from .entropy import binary_entropy, normal_cdf, normal_pdf, normal_quantile
 
 __all__ = [
     "GaussianSetSpec",
@@ -35,7 +34,6 @@ __all__ = [
     "ou_apply",
     "neg_cond_entropy",
     "neg_cond_entropy_gh",
-    "gaussian_mi",
     "halfspace_check",
     "a_factor",
     "r_factor",
@@ -47,7 +45,6 @@ __all__ = [
     "poisson_factor_mass_quad",
     "decomposition_integral_check",
     "factor_check",
-    "borell_check",
     "log_sphere_area",
 ]
 
@@ -99,15 +96,6 @@ class GaussianSetSpec:
             return normal_cdf(-self.threshold)
         return math.fsum(normal_cdf(b) - normal_cdf(a)
                          for a, b in self.intervals)
-
-    def indicator(self, x1) -> np.ndarray:
-        x = np.asarray(x1, dtype=float)
-        if self.kind == "halfspace":
-            return (x >= self.threshold).astype(float)
-        out = np.zeros_like(x)
-        for a, b in self.intervals:
-            out += ((x >= a) & (x <= b)).astype(float)
-        return np.clip(out, 0.0, 1.0)
 
 
 def random_interval_union(mu: float, pieces: int, rng) -> GaussianSetSpec:
@@ -188,11 +176,6 @@ def neg_cond_entropy_gh(f: GaussianSetSpec, rho: float,
     nodes, weights = _GH_CACHE[order]
     vals = np.array([-binary_entropy(ou_apply(f, rho, s)) for s in nodes])
     return float(weights @ vals / math.sqrt(2.0 * math.pi))
-
-
-def gaussian_mi(f: GaussianSetSpec, rho: float) -> float:
-    """h(measure) + E[-h(U_rho f)], the mutual information in bits."""
-    return binary_entropy(f.measure()) + neg_cond_entropy(f, rho)
 
 
 def halfspace_check(measure: float, rho: float, pieces: int, seed: int,
@@ -555,21 +538,4 @@ def factor_check(params: LimitParams, rho: float, trials: int, samples: int,
         "decomposition_consistent": consistent,
         "pass": bool(worst_rel <= 1e-9 and violations == 0 and mass_ok
                      and abs(dec_const["ratio_exact"] - 1.0) <= 1e-9),
-    }
-
-
-def borell_check(f: GaussianSetSpec, psi: PsiSpec, rho: float) -> dict:
-    """E[Psi(U_rho f)] against the measure-matched halfspace, for increasing
-    convex Psi."""
-    if not psi.is_increasing:
-        raise ValueError("borell check needs an increasing convex psi")
-    rho = _check_rho(rho)
-    halfspace = GaussianSetSpec.halfspace_with_measure(f.measure())
-
-    value_f = _ou_expectation(psi, f, rho)[0]
-    value_halfspace = _ou_expectation(psi, halfspace, rho)[0]
-    return {
-        "value_f": value_f,
-        "value_halfspace": value_halfspace,
-        "pass": bool(value_f <= value_halfspace + 1e-8),
     }

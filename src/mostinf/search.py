@@ -37,7 +37,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +62,6 @@ __all__ = [
     "exhaustive_verify",
     "verify_check",
     "fixed_mean_max",
-    "canonical_form",
     "lex_failure_scan",
     "lex_failure_check",
     "ball_profile_for_mean",
@@ -241,38 +239,6 @@ def fixed_mean_max(n: int, m: int, alpha: float) -> SearchReport:
                    lex_attains=bool(lex(n, m).table_int() in winners))
 
 
-@functools.lru_cache(maxsize=None)
-def _orbit_index_maps(n: int) -> list[np.ndarray]:
-    """Source-index maps for every coordinate permutation, before negation."""
-    j = np.arange(1 << n)
-    planes = [(j >> (n - i)) & 1 for i in range(1, n + 1)]
-    maps = []
-    for perm in permutations(range(1, n + 1)):
-        s = np.zeros(1 << n, dtype=np.int64)
-        for i, target in enumerate(perm, start=1):
-            s |= planes[i - 1] << (n - target)
-        maps.append(s)
-    return maps
-
-
-def canonical_form(f: BooleanFunction) -> BooleanFunction:
-    """Least table in the orbit under coordinate permutations, input
-    negations, and output complement; idempotent by construction."""
-    if f.n > 5:
-        raise ValueError("canonical form supported for n <= 5")
-    bits = f.bits
-    best = None
-    for smap in _orbit_index_maps(f.n):
-        for mask in range(1 << f.n):
-            cand = bits[smap ^ mask]
-            for variant in (cand, 1 - cand):
-                key = variant.astype(np.uint8).tobytes()
-                if best is None or key < best:
-                    best = key
-    out = np.frombuffer(best, dtype=np.uint8)
-    return BooleanFunction(f.n, out, f.convention)
-
-
 def ball_profile_for_mean(n: int, mu: float) -> SymmetricProfile:
     """Level profile of the ball with exact mean mu: full low levels plus a
     fractional boundary level."""
@@ -340,6 +306,10 @@ _CHECKPOINT_KEYS = {"n", "alpha", "next", "max_mi", "witnesses", "scanned"}
 PROGRESS_EVERY_S = 10.0
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_checkpoint(path: Path, n: int, alpha: float) -> dict:
     """Scan state from a checkpoint; any unusable file is one ValueError."""
     try:
@@ -353,6 +323,17 @@ def _load_checkpoint(path: Path, n: int, alpha: float) -> dict:
     if state["n"] != n or state["alpha"] != alpha:
         raise ValueError(f"checkpoint {path} was written for n={state['n']}, "
                          f"alpha={state['alpha']}, not n={n}, alpha={alpha}")
+    reps = 1 << ((1 << n) - 1)
+    nxt, best, witnesses = state["next"], state["max_mi"], state["witnesses"]
+    if not (_is_int(nxt) and 0 <= nxt <= reps
+            and _is_int(state["scanned"]) and state["scanned"] == 2 * nxt
+            and (_is_int(best) or isinstance(best, float))
+            and math.isfinite(best) and isinstance(witnesses, list)
+            and all(_is_int(t) and 0 <= t < 2 * reps for t in witnesses)):
+        raise ValueError(f"checkpoint {path} needs an integer next in "
+                         f"0..{reps}, scanned = 2 next, a finite max_mi and "
+                         f"integer witnesses in 0..{2 * reps - 1}; delete it "
+                         "to restart the scan")
     return state
 
 

@@ -15,14 +15,12 @@ grid (P the axis l = 1, which maps j to 1 - j and fixes no point).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .entropy import PsiSpec, binary_entropy
+from .entropy import PsiSpec
 
 __all__ = [
     "Reflection",
@@ -31,7 +29,6 @@ __all__ = [
     "KernelSpec",
     "circle_grid",
     "sphere_sample",
-    "cap_measure",
     "rearrange",
     "polarize",
     "kernel_apply",
@@ -42,9 +39,6 @@ __all__ = [
     "mc_check",
     "iterate_polarizations",
     "rearrange_check",
-    "spherical_mi",
-    "field_to_json",
-    "field_from_json",
 ]
 
 _MATCH_TOL = 1e-9
@@ -96,13 +90,11 @@ class SpherePointSet:
     p_map[j] must lie within 1e-9 max(1, R) of sigma(p_j), checked at
     construction."""
 
-    def __init__(self, n: int, radius: float, points, pole, mirrors,
-                 grid_m: int | None = None):
+    def __init__(self, n: int, radius: float, points, pole, mirrors):
         self.n = int(n)
         self.radius = float(radius)
         self.points = np.asarray(points, dtype=float)
         self.pole = np.asarray(pole, dtype=float)
-        self.grid_m = grid_m
         if self.points.ndim != 2 or self.points.shape[1] != self.n:
             raise ValueError(f"points must form an (M, {self.n}) array")
         self.weights = np.full(len(self.points), 1.0 / len(self.points))
@@ -265,19 +257,7 @@ def circle_grid(m: int) -> SpherePointSet:
         mirrors.append((Reflection.from_vector(normal, pole),
                         (ell - np.arange(m)) % m))
     return SpherePointSet(n=2, radius=1.0, points=points, pole=pole,
-                          mirrors=mirrors, grid_m=m)
-
-
-def _mirrored_halves(n: int, radius: float, points) -> SpherePointSet:
-    """Points on the radius-R sphere in R^n, pole R e_1, whose second half
-    mirrors the first across the pole's orthogonal hyperplane: j -> j + M/2."""
-    pole = np.zeros(n)
-    pole[0] = radius
-    m = len(points)
-    return SpherePointSet(
-        n=n, radius=radius, points=points, pole=pole,
-        mirrors=[(Reflection.from_vector(pole, pole),
-                  (np.arange(m) + m // 2) % m)])
+                          mirrors=mirrors)
 
 
 def sphere_sample(n: int, m: int, seed: int) -> SpherePointSet:
@@ -290,26 +270,13 @@ def sphere_sample(n: int, m: int, seed: int) -> SpherePointSet:
     rng = np.random.default_rng(seed)
     half = rng.standard_normal((m // 2, n))
     half /= np.linalg.norm(half, axis=1, keepdims=True)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    sigma = Reflection.from_vector(e1)
-    return _mirrored_halves(n, 1.0, np.vstack([half, sigma.apply(half)]))
-
-
-def cap_measure(n: int, theta: float) -> float:
-    """Normalized measure of the polar cap of opening angle theta on the
-    sphere in R^n: int_0^theta sin^(n-2) / int_0^pi sin^(n-2)."""
-    theta = float(theta)
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError(f"angle {theta!r} outside [0, pi]")
-    if n < 2:
-        raise ValueError("ambient dimension must be >= 2")
-    power = n - 2
-    num, _ = quad(lambda t: math.sin(t) ** power, 0.0, theta,
-                  epsabs=1e-12, epsrel=1e-12)
-    den, _ = quad(lambda t: math.sin(t) ** power, 0.0, math.pi,
-                  epsabs=1e-12, epsrel=1e-12)
-    return num / den
+    pole = np.zeros(n)
+    pole[0] = 1.0
+    sigma = Reflection.from_vector(pole, pole)
+    return SpherePointSet(n=n, radius=1.0,
+                          points=np.vstack([half, sigma.apply(half)]),
+                          pole=pole,
+                          mirrors=[(sigma, (np.arange(m) + m // 2) % m)])
 
 
 def rearrange(f: SphericalField) -> SphericalField:
@@ -523,44 +490,3 @@ def rearrange_check(grid_m: int, rho: float, steps: int, seed: int) -> dict:
                          and jt[-1] <= j_rearranged + 1e-10),
             "table": (["step", "J", "l1_distance"],
                       list(zip(range(len(l1)), jt, l1)))}
-
-
-def spherical_mi(f: SphericalField, rho: float) -> float:
-    """Mutual information of a 0/1 field against its smoothed copy:
-    h(mean) - sum_i w_i h((P_rho f)_i) with the Poisson kernel."""
-    rho = float(rho)
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"correlation {rho!r} outside [0, 1)")
-    vals = f.values
-    if np.any(np.abs(vals * (1.0 - vals)) > 1e-12):
-        raise ValueError("spherical_mi needs a 0/1-valued field")
-    ps = f.pointset
-    kernel = KernelSpec.poisson(rho, ps.n)
-    smooth = kernel_apply(kernel, f).values
-    if smooth.min() < -1e-6 or smooth.max() > 1.0 + 1e-6:
-        raise AssertionError("smoothed indicator escaped [0, 1]")
-    smooth = np.clip(smooth, 0.0, 1.0)
-    total = float(np.sum(ps.weights))
-    cond = math.fsum((ps.weights * binary_entropy(smooth)).tolist()) / total
-    return binary_entropy(f.mean()) - cond
-
-
-def field_to_json(f: SphericalField) -> str:
-    """Snapshot: {n, R, M, points (omitted for circle grids), values}."""
-    ps = f.pointset
-    obj = {"n": ps.n, "R": ps.radius, "M": ps.size,
-           "values": [float(v) for v in f.values]}
-    if ps.grid_m is None:
-        obj["points"] = [[float(c) for c in p] for p in ps.points]
-    return json.dumps(obj, sort_keys=True)
-
-
-def field_from_json(text: str) -> SphericalField:
-    obj = json.loads(text)
-    if "points" in obj:
-        ps = _mirrored_halves(obj["n"], obj["R"],
-                              np.asarray(obj["points"], dtype=float))
-    else:
-        ps = circle_grid(obj["M"])
-    return SphericalField(ps, np.asarray(obj["values"], dtype=float),
-                          check_range=False)

@@ -12,6 +12,9 @@ from mostinf.cube import (
     PLUS_MINUS,
     SymmetricProfile,
     ZERO_ONE,
+    _damped_inverse,
+    _hadamard_inplace,
+    _popcount,
     _smooth,
     and_k,
     and_mi_exact,
@@ -21,25 +24,41 @@ from mostinf.cube import (
     dictator,
     format_truth_table,
     fwht,
-    fwht_inverse,
     hamming_ball,
     hamming_ball_w1_exact,
     hamming_code_decoder,
-    indicator_to_pm,
     lex,
     majority,
     make_family,
     mutual_information_direct,
     mutual_information_phi,
-    noise_operator,
     parse_truth_table,
     perfect_code_mi,
-    subset_mask,
     symmetric_mi,
     taylor_curvature_check,
-    variance_trho,
 )
 from mostinf.entropy import binary_entropy, phi
+
+
+def subset_mask(coords, n: int) -> int:
+    """Bitmask of the coordinate subset, coordinate i at bit (n - i)."""
+    m = 0
+    for i in coords:
+        if not 1 <= i <= n:
+            raise ValueError(f"coordinate {i} outside 1..{n}")
+        m |= 1 << (n - i)
+    return m
+
+
+def variance_trho(spec: FourierSpectrum, rho: float) -> float:
+    """Variance of the smoothed function, from a +/-1-valued source spectrum."""
+    total = math.fsum((spec.coeffs * spec.coeffs).tolist())
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError("spectrum does not come from a +/-1-valued table")
+    levels = _popcount(np.arange(1 << spec.n))
+    c2 = spec.coeffs * spec.coeffs
+    terms = np.where(levels > 0, c2 * float(rho) ** (2 * levels), 0.0)
+    return float(math.fsum(terms.tolist()))
 
 
 def brute_force_coeff(values, mask, n):
@@ -128,8 +147,8 @@ class TestTransform:
             f = BooleanFunction(6, rng.integers(0, 2, 64), PLUS_MINUS)
             spec = fwht(f)
             assert np.sum(spec.coeffs ** 2) == pytest.approx(1.0, abs=1e-10)
-            np.testing.assert_allclose(fwht_inverse(spec), f.values(),
-                                       atol=1e-10)
+            np.testing.assert_allclose(_hadamard_inplace(spec.coeffs),
+                                       f.values(), atol=1e-10)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
@@ -140,24 +159,24 @@ class TestNoiseOperator:
     def test_rho_one_identity(self):
         rng = np.random.default_rng(2)
         f = BooleanFunction(4, rng.integers(0, 2, 16), PLUS_MINUS)
-        np.testing.assert_allclose(noise_operator(fwht(f), 1.0), f.values(),
-                                   atol=1e-12)
+        np.testing.assert_allclose(_damped_inverse(fwht(f).coeffs, 1.0),
+                                   f.values(), atol=1e-12)
 
     def test_rho_zero_mean(self):
         rng = np.random.default_rng(3)
         f = BooleanFunction(4, rng.integers(0, 2, 16))
-        out = noise_operator(fwht(f), 0.0)
+        out = _damped_inverse(fwht(f).coeffs, 0.0)
         np.testing.assert_allclose(out, f.mean(), atol=1e-12)
 
     def test_dictator_scaling(self):
         f = dictator(3, 2)
-        out = noise_operator(fwht(f), 0.6)
+        out = _damped_inverse(fwht(f).coeffs, 0.6)
         np.testing.assert_allclose(out, 0.6 * f.values(), atol=1e-12)
 
     def test_hull_containment(self):
         rng = np.random.default_rng(4)
         f = BooleanFunction(5, rng.integers(0, 2, 32))
-        out = noise_operator(fwht(f), 0.8)
+        out = _damped_inverse(fwht(f).coeffs, 0.8)
         assert out.min() >= -1e-10 and out.max() <= 1.0 + 1e-10
 
 
@@ -354,7 +373,8 @@ class TestSpectrumFunctionals:
         assert variance_trho(fwht(f), 0.5) == 0.0
 
     def test_variance_maj3(self):
-        spec = fwht(indicator_to_pm(majority(3)))
+        # The +/-1 reading that is +1 exactly where majority is 1.
+        spec = fwht(BooleanFunction(3, 1 - majority(3).bits, PLUS_MINUS))
         assert variance_trho(spec, 0.5) == pytest.approx(0.19140625,
                                                          abs=1e-12)
 

@@ -272,8 +272,3 @@ class TestPsiSpec:
         psi = PsiSpec.neg_binary_entropy()
         assert psi(0.5) == -1.0
         assert psi(0.0) == 0.0
-
-    def test_increasing_flags(self):
-        assert PsiSpec.square().is_increasing
-        assert PsiSpec.abs_power(2.0).is_increasing
-        assert not PsiSpec.neg_binary_entropy().is_increasing

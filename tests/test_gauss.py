@@ -11,11 +11,11 @@ from mostinf.entropy import PsiSpec, binary_entropy, normal_pdf
 from mostinf.gauss import (
     GaussianSetSpec,
     LimitParams,
+    _check_rho,
+    _ou_expectation,
     a_factor,
-    borell_check,
     decomposition_integral_check,
     factor_check,
-    gaussian_mi,
     log_sphere_area,
     mehler_kernel,
     neg_cond_entropy,
@@ -36,6 +36,37 @@ SQRT_2PI = math.sqrt(2 * math.pi)
 
 def gh_expectation(fn):
     return float(GH_WEIGHTS @ np.array([fn(t) for t in GH_NODES])) / SQRT_2PI
+
+
+def gaussian_mi(f, rho):
+    """h(measure) + E[-h(U_rho f)], the mutual information in bits."""
+    return binary_entropy(f.measure()) + neg_cond_entropy(f, rho)
+
+
+def psi_is_increasing(psi):
+    """True when the function is nondecreasing on its working domain."""
+    if psi.kind in ("square", "abs_power"):
+        return True  # on the nonnegative inputs these functionals see
+    if psi.kind == "custom_table":
+        return bool(np.all(np.diff(psi.table) >= -1e-15))
+    return False
+
+
+def borell_check(f, psi, rho):
+    """E[Psi(U_rho f)] against the measure-matched halfspace, for increasing
+    convex Psi."""
+    if not psi_is_increasing(psi):
+        raise ValueError("borell check needs an increasing convex psi")
+    rho = _check_rho(rho)
+    halfspace = GaussianSetSpec.halfspace_with_measure(f.measure())
+
+    value_f = _ou_expectation(psi, f, rho)[0]
+    value_halfspace = _ou_expectation(psi, halfspace, rho)[0]
+    return {
+        "value_f": value_f,
+        "value_halfspace": value_halfspace,
+        "pass": bool(value_f <= value_halfspace + 1e-8),
+    }
 
 
 class TestSetSpecs:
@@ -510,3 +541,8 @@ class TestBorell:
         with pytest.raises(ValueError):
             borell_check(GaussianSetSpec.halfspace(0.0),
                          PsiSpec.neg_binary_entropy(), 0.5)
+
+    def test_increasing_flags(self):
+        assert psi_is_increasing(PsiSpec.square())
+        assert psi_is_increasing(PsiSpec.abs_power(2.0))
+        assert not psi_is_increasing(PsiSpec.neg_binary_entropy())

@@ -1,4 +1,4 @@
-"""Exhaustive scans, canonical forms, and the ball-versus-AND comparison."""
+"""Exhaustive scans, orbit invariance, and the ball-versus-AND comparison."""
 
 import json
 
@@ -22,7 +22,6 @@ from mostinf.search import (
     _batched_mi,
     _bits_matrix,
     ball_profile_for_mean,
-    canonical_form,
     exhaustive_verify,
     fixed_mean_max,
     lex_failure_scan,
@@ -413,38 +412,15 @@ def random_orbit_image(f, rng):
     return BooleanFunction(n, bits, f.convention)
 
 
-class TestCanonicalForm:
-    def test_dictators_share_form(self):
-        base = canonical_form(dictator(3, 1).reread("zero_one"))
-        for i in (2, 3):
-            assert canonical_form(dictator(3, i).reread("zero_one")) == base
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            f = BooleanFunction(4, rng.integers(0, 2, 16))
-            c = canonical_form(f)
-            assert canonical_form(c) == c
-
-    def test_complement_invariance(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            f = BooleanFunction(3, rng.integers(0, 2, 8))
-            assert canonical_form(f.complement()) == canonical_form(f)
-
+class TestOrbitInvariance:
     def test_orbit_and_mi_invariance(self):
         rng = np.random.default_rng(4)
         for _ in range(15):
             f = BooleanFunction(4, rng.integers(0, 2, 16))
             g = random_orbit_image(f, rng)
-            assert canonical_form(g) == canonical_form(f)
             for alpha in (0.15, 0.37):
                 assert mutual_information_direct(g, alpha) == pytest.approx(
                     mutual_information_direct(f, alpha), abs=1e-12)
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            canonical_form(BooleanFunction(6, np.zeros(64, dtype=np.uint8)))
 
 
 class TestBallProfile:
@@ -562,6 +538,37 @@ class TestScanN5:
         assert type(exc.value) is ValueError
         assert str(ckpt) in str(exc.value)
         assert "\n" not in str(exc.value)
+
+    # n = 3 has 2^7 = 128 representatives and 2^8 = 256 tables.
+    @pytest.mark.parametrize("key,value", [
+        ("next", "x"), ("next", 2.5), ("next", None), ("next", True),
+        ("next", -4), ("next", 500), ("next", 129), ("scanned", 3),
+        ("scanned", 32.0), ("max_mi", "a"), ("max_mi", True),
+        ("max_mi", None), ("max_mi", float("nan")), ("witnesses", 7),
+        ("witnesses", [1, "x"]), ("witnesses", [256]), ("witnesses", [-1]),
+        ("witnesses", [True]), ("witnesses", [1.0])])
+    def test_bad_checkpoint_value_is_one_line_value_error(self, tmp_path,
+                                                          key, value):
+        ckpt = tmp_path / "scan.json"
+        exhaustive_verify(3, 0.1, checkpoint=str(ckpt), chunk_size=16,
+                          max_chunks=1)
+        state = json.loads(ckpt.read_text())
+        state[key] = value
+        ckpt.write_text(json.dumps(state))
+        with pytest.raises(ValueError) as exc:
+            exhaustive_verify(3, 0.1, checkpoint=str(ckpt), chunk_size=16)
+        assert type(exc.value) is ValueError
+        assert str(ckpt) in str(exc.value)
+        assert "\n" not in str(exc.value)
+
+    def test_checkpoint_at_the_last_representative_is_accepted(self,
+                                                               tmp_path):
+        ckpt = tmp_path / "scan.json"
+        full = exhaustive_verify(3, 0.1, checkpoint=str(ckpt), chunk_size=16)
+        state = json.loads(ckpt.read_text())
+        assert (state["next"], state["scanned"]) == (128, 256)
+        assert exhaustive_verify(3, 0.1, checkpoint=str(ckpt),
+                                 chunk_size=16) == full
 
     def test_resumes_a_checkpoint_with_even_witnesses_only(self, tmp_path):
         # Checkpoints written before complements were stored hold the
