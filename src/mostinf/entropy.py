@@ -10,7 +10,7 @@ only inside series constants and the curvature coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -140,28 +140,17 @@ class PsiSpec:
     """A convex scalar function usable inside the kernel functionals.
 
     ``kind`` is one of ``neg_binary_entropy`` (-h, convex, not increasing),
-    ``square``, ``abs_power`` (|t|^p with p >= 1), or ``custom_table``
-    (piecewise-linear values on a uniform grid over [0, 1]; convexity is
-    validated at construction).
+    ``square`` or ``abs_power`` (|t|^p with p >= 1).
     """
 
     kind: str
     power: float = 2.0
-    table: tuple = field(default=())
 
     def __post_init__(self):
-        if self.kind not in ("neg_binary_entropy", "square", "abs_power",
-                             "custom_table"):
+        if self.kind not in ("neg_binary_entropy", "square", "abs_power"):
             raise ValueError(f"unknown PsiSpec kind {self.kind!r}")
         if self.kind == "abs_power" and self.power < 1.0:
             raise ValueError("abs_power requires p >= 1")
-        if self.kind == "custom_table":
-            ys = np.asarray(self.table, dtype=float)
-            if ys.size < 2:
-                raise ValueError("custom_table needs at least two values")
-            # Second differences of equally spaced samples must be >= 0.
-            if ys.size >= 3 and np.any(np.diff(ys, 2) < -1e-12):
-                raise ValueError("custom_table values are not convex")
 
     @classmethod
     def neg_binary_entropy(cls) -> "PsiSpec":
@@ -175,14 +164,10 @@ class PsiSpec:
     def abs_power(cls, p: float) -> "PsiSpec":
         return cls("abs_power", power=float(p))
 
-    @classmethod
-    def custom_table(cls, values) -> "PsiSpec":
-        return cls("custom_table", table=tuple(float(v) for v in values))
-
     @property
     def domain(self):
         """Closed interval of valid inputs, or None for the whole line."""
-        if self.kind in ("neg_binary_entropy", "custom_table"):
+        if self.kind == "neg_binary_entropy":
             return (0.0, 1.0)
         return None
 
@@ -192,14 +177,8 @@ class PsiSpec:
             out = -binary_entropy(v)
         elif self.kind == "square":
             out = v * v
-        elif self.kind == "abs_power":
-            out = np.abs(v) ** self.power
         else:
-            ys = np.asarray(self.table, dtype=float)
-            if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
-                raise ValueError("custom_table: argument outside [0, 1]")
-            xs = np.linspace(0.0, 1.0, ys.size)
-            out = np.interp(np.clip(v, 0.0, 1.0), xs, ys)
+            out = np.abs(v) ** self.power
         if np.isscalar(t) or np.ndim(t) == 0:
             return float(out)
         return out

@@ -76,10 +76,6 @@ class GaussianSetSpec:
                 last = b
 
     @classmethod
-    def halfspace(cls, threshold: float) -> "GaussianSetSpec":
-        return cls("halfspace", threshold=float(threshold))
-
-    @classmethod
     def halfspace_with_measure(cls, mu: float) -> "GaussianSetSpec":
         return cls("halfspace", threshold=-normal_quantile(mu))
 

@@ -346,15 +346,21 @@ def _save_checkpoint(path: Path, state: dict) -> None:
 
 
 def _report_progress(n: int, done: int, first: int, total: int,
-                     chunk_size: int, elapsed: float, evaluated: int) -> None:
-    """One stderr line: chunks done, raw tables per second, time left and
-    the share of this call's tables that the kernel evaluated."""
-    rate = 2 * (done - first) / elapsed if elapsed > 0.0 else 0.0
+                     chunk_size: int, mark: tuple, rate: float,
+                     evaluated: int) -> tuple:
+    """One stderr line: chunks done, raw tables per second since ``mark``
+    (time and watermark of the line before; early chunks evaluate more
+    rows), time left at that rate and the share of this call's tables that
+    the kernel evaluated.  Returns the new mark and rate."""
+    now = time.monotonic()
+    if done > mark[1] and now > mark[0]:
+        rate = 2 * (done - mark[1]) / (now - mark[0])
     eta = f"{2 * (total - done) / rate:.0f} s" if rate > 0.0 else "unknown"
     chunks = f"{math.ceil(done / chunk_size)}/{math.ceil(total / chunk_size)}"
     share = 100.0 * evaluated / (done - first)
     print(f"scan_n{n}: {chunks} chunks, {rate:.4g} tables/s, ETA {eta}, "
           f"evaluated {share:.1f}%", file=sys.stderr, flush=True)
+    return (now, done), rate
 
 
 def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
@@ -400,7 +406,7 @@ def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
         raise ValueError("max_chunks=0 on a fresh scan scans nothing")
     progress = total_reps > chunk_size
     evaluated = 0
-    start = last_report = time.monotonic()
+    mark, rate = (time.monotonic(), first), 0.0
     for lo in range(first, end, chunk_size):
         hi = min(lo + chunk_size, end)
         reps = np.arange(lo, hi, dtype=np.int64) << 1  # even table ints
@@ -419,14 +425,12 @@ def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
         state["scanned"] = 2 * hi
         if path is not None:
             _save_checkpoint(path, state)
-        now = time.monotonic()
-        if progress and now - last_report >= PROGRESS_EVERY_S:
-            _report_progress(n, hi, first, total_reps, chunk_size,
-                             now - start, evaluated)
-            last_report = now
+        if progress and time.monotonic() - mark[0] >= PROGRESS_EVERY_S:
+            mark, rate = _report_progress(n, hi, first, total_reps,
+                                          chunk_size, mark, rate, evaluated)
     if progress and end > first:
-        _report_progress(n, end, first, total_reps, chunk_size,
-                         time.monotonic() - start, evaluated)
+        _report_progress(n, end, first, total_reps, chunk_size, mark, rate,
+                         evaluated)
     # A checkpoint may hold even witnesses only.
     witnesses = sorted(
         set(state["witnesses"])

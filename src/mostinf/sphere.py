@@ -16,7 +16,7 @@ grid (P the axis l = 1, which maps j to 1 - j and fixes no point).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,8 +43,11 @@ __all__ = [
 
 _MATCH_TOL = 1e-9
 # mc_check rejects a sample of more coordinates, or a half kernel of more
-# entries, than this (256 MiB of floats) before it allocates either.
+# entries, and circle_grid mirror maps of more entries, than this (256 MiB
+# of floats) before it allocates any of them.
 MC_MAX_ENTRIES = 1 << 25
+# The stacked checks evaluate at most this many field entries at a time.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -85,12 +88,13 @@ class Reflection:
 
 
 class SpherePointSet:
-    """Equal-weight points on a radius-R sphere with ``mirrors``: each
-    supported reflection sigma and its index map, an involution whose
-    p_map[j] must lie within 1e-9 max(1, R) of sigma(p_j), checked at
-    construction."""
+    """Equal-weight points on a radius-R sphere with mirrors: each
+    supported reflection ``reflections[l]`` and its index map, the row
+    ``partners[l]`` of one (L, M) array, an involution whose entry j must
+    lie within 1e-9 max(1, R) of sigma(p_j), checked at construction."""
 
-    def __init__(self, n: int, radius: float, points, pole, mirrors):
+    def __init__(self, n: int, radius: float, points, pole, reflections,
+                 partners):
         self.n = int(n)
         self.radius = float(radius)
         self.points = np.asarray(points, dtype=float)
@@ -102,22 +106,27 @@ class SpherePointSet:
         norms = np.linalg.norm(self.points, axis=1)
         if np.max(np.abs(norms - self.radius)) > tol:
             raise ValueError("points do not lie on the sphere")
-        self._mirrors = {}
+        self.reflections = list(reflections)
+        partners = np.asarray(partners, dtype=np.intp)
+        if partners.size != len(self.reflections) * self.size:
+            raise ValueError("point set is not closed under a reflection")
+        self._partners = partners.reshape(len(self.reflections), self.size)
+        self._pole_side = np.empty(self._partners.shape, dtype=bool)
         ident = np.arange(self.size)
-        for sigma, partner in mirrors:
+        for sigma, partner, side in zip(self.reflections, self._partners,
+                                        self._pole_side):
             if abs(float(np.dot(sigma.vector, self.pole))) <= \
                     _MATCH_TOL * self.radius:
                 raise ValueError("hyperplane passes through the pole")
-            partner = np.asarray(partner, dtype=np.intp)
-            if partner.shape != (self.size,) or np.max(np.linalg.norm(
-                    sigma.apply(self.points) - self.points[partner],
-                    axis=1)) > tol:
+            if np.max(np.linalg.norm(sigma.apply(self.points)
+                                     - self.points[partner], axis=1)) > tol:
                 raise ValueError("point set is not closed under a reflection")
             if (partner[partner] != ident).any():
                 raise ValueError("mirror map is not an involution")
-            self._mirrors[sigma] = partner
-        self.reflections = list(self._mirrors)
-        first = next(iter(self._mirrors.values()), ident)
+            side[:] = self.points @ sigma.vector > 0.0
+        self._index = {sigma: k for k, sigma in enumerate(self.reflections)}
+        first = self.partner_indices(self.reflections[0]) \
+            if self.reflections else ident
         rows = np.flatnonzero(ident <= first)
         self._half = (rows, first[rows], first)     # R, P[R], P
         self._kernel_cache: dict = {}
@@ -132,9 +141,12 @@ class SpherePointSet:
 
     def partner_indices(self, sigma: Reflection) -> np.ndarray:
         """Index of each point's mirror image; errors if not supported."""
-        if sigma not in self._mirrors:
+        return self._partners[self._reflection_index(sigma)]
+
+    def _reflection_index(self, sigma: Reflection) -> int:
+        if sigma not in self._index:
             raise ValueError("point set does not support this reflection")
-        return self._mirrors[sigma]
+        return self._index[sigma]
 
     def kernel_matrix(self, kernel: "KernelSpec") -> np.ndarray:
         """T = K[R, :], the kernel's rows on R = {i : i <= P[i]}, one point
@@ -171,69 +183,33 @@ class SphericalField:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Non-decreasing bounded function of the inner product.
+    """The Poisson kernel (1 - rho^2) / ||x - rho y||^dim on the radius-R
+    sphere in R^dim, normalized against the uniform probability measure: a
+    non-decreasing bounded function of the inner product."""
 
-    ``poisson`` is (1 - rho^2) / ||x - rho y||^dim on the radius-R sphere in
-    R^dim, normalized against the uniform probability measure; ``step`` is
-    the indicator of inner product >= threshold; ``custom_monotone`` is a
-    piecewise-linear nondecreasing table over inner-product nodes.
-    """
-
-    kind: str
-    rho: float = 0.0
-    dim: int = 0
-    threshold: float = 0.0
-    nodes: tuple = field(default=())
-    table: tuple = field(default=())
+    rho: float
+    dim: int
 
     def __post_init__(self):
-        if self.kind not in ("poisson", "step", "custom_monotone"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "poisson":
-            if not 0.0 <= self.rho < 1.0:
-                raise ValueError("poisson kernel needs 0 <= rho < 1")
-            if self.dim < 2:
-                raise ValueError("poisson kernel needs ambient dim >= 2")
-        if self.kind == "custom_monotone":
-            ys = np.asarray(self.table, dtype=float)
-            if ys.size != len(self.nodes) or ys.size < 2:
-                raise ValueError("custom kernel table mismatch")
-            if np.any(np.diff(ys) < -1e-15):
-                raise ValueError("custom kernel must be nondecreasing")
+        if not 0.0 <= self.rho < 1.0:
+            raise ValueError("poisson kernel needs 0 <= rho < 1")
+        if self.dim < 2:
+            raise ValueError("poisson kernel needs ambient dim >= 2")
 
     @classmethod
     def poisson(cls, rho: float, dim: int) -> "KernelSpec":
-        return cls("poisson", rho=float(rho), dim=int(dim))
-
-    @classmethod
-    def step(cls, threshold: float) -> "KernelSpec":
-        return cls("step", threshold=float(threshold))
-
-    @classmethod
-    def custom_monotone(cls, nodes, table) -> "KernelSpec":
-        return cls("custom_monotone",
-                   nodes=tuple(float(x) for x in nodes),
-                   table=tuple(float(y) for y in table))
-
-    def evaluate(self, inner, radius: float = 1.0):
-        """The kernel at inner products ``inner``, which it never writes.
-        A scalar ``inner`` gives a scalar, through ``[()]``."""
-        return self._evaluate_owned(np.array(inner, dtype=float), radius)[()]
+        return cls(rho=float(rho), dim=int(dim))
 
     def _evaluate_owned(self, s: np.ndarray, radius: float) -> np.ndarray:
-        """``evaluate`` on a float array the caller owns: the Poisson
-        formula overwrites ``s`` and returns it."""
-        if self.kind == "poisson":
-            rho, d = self.rho, self.dim
-            # ||x - rho y||^2 = R^2 (1 + rho^2) - 2 rho <x,y>, >= R^2(1-rho)^2.
-            s *= 2.0 * rho
-            np.subtract(radius ** 2 * (1.0 + rho ** 2), s, out=s)
-            s **= -d / 2.0
-            s *= (1.0 - rho ** 2) * radius ** d
-            return s
-        if self.kind == "step":
-            return (s >= self.threshold).astype(float)
-        return np.interp(s, self.nodes, self.table)
+        """The kernel at the inner products ``s``, a float array the caller
+        owns: the formula overwrites ``s`` and returns it."""
+        rho, d = self.rho, self.dim
+        # ||x - rho y||^2 = R^2 (1 + rho^2) - 2 rho <x,y>, >= R^2(1-rho)^2.
+        s *= 2.0 * rho
+        np.subtract(radius ** 2 * (1.0 + rho ** 2), s, out=s)
+        s **= -d / 2.0
+        s *= (1.0 - rho ** 2) * radius ** d
+        return s
 
 
 def circle_grid(m: int) -> SpherePointSet:
@@ -241,23 +217,25 @@ def circle_grid(m: int) -> SpherePointSet:
 
     Supported reflections are the axes at angles pi*l/M for l = 1..M-1; the
     polar axis itself (l = 0) is excluded.  The axis at pi*l/M maps grid
-    point j to point (l - j) mod M exactly.
+    point j to point (l - j) mod M exactly.  A grid whose (M - 1) x M maps
+    would hold more than ``MC_MAX_ENTRIES`` entries is rejected first.
     """
     if m % 2 != 0:
         raise ValueError("grid size must be even")
     if m < 8:
         raise ValueError("grid size must be at least 8")
+    if (m - 1) * m > MC_MAX_ENTRIES:
+        raise ValueError(f"a {m}-point grid needs {m - 1} x {m} mirror maps; "
+                         f"they may hold at most MC_MAX_ENTRIES = "
+                         f"{MC_MAX_ENTRIES} entries")
     theta = 2.0 * np.pi * np.arange(m) / m
     points = np.column_stack([np.cos(theta), np.sin(theta)])
     pole = np.array([1.0, 0.0])
-    mirrors = []
-    for ell in range(1, m):
-        phi = np.pi * ell / m
-        normal = np.array([np.sin(phi), -np.cos(phi)])
-        mirrors.append((Reflection.from_vector(normal, pole),
-                        (ell - np.arange(m)) % m))
-    return SpherePointSet(n=2, radius=1.0, points=points, pole=pole,
-                          mirrors=mirrors)
+    reflections = [Reflection.from_vector([np.sin(a), -np.cos(a)], pole)
+                   for a in np.pi * np.arange(1, m) / m]
+    partners = np.subtract.outer(np.arange(1, m), np.arange(m))
+    partners %= m
+    return SpherePointSet(2, 1.0, points, pole, reflections, partners)
 
 
 def sphere_sample(n: int, m: int, seed: int) -> SpherePointSet:
@@ -273,10 +251,8 @@ def sphere_sample(n: int, m: int, seed: int) -> SpherePointSet:
     pole = np.zeros(n)
     pole[0] = 1.0
     sigma = Reflection.from_vector(pole, pole)
-    return SpherePointSet(n=n, radius=1.0,
-                          points=np.vstack([half, sigma.apply(half)]),
-                          pole=pole,
-                          mirrors=[(sigma, (np.arange(m) + m // 2) % m)])
+    return SpherePointSet(n, 1.0, np.vstack([half, sigma.apply(half)]), pole,
+                          [sigma], [(np.arange(m) + m // 2) % m])
 
 
 def rearrange(f: SphericalField) -> SphericalField:
@@ -292,69 +268,91 @@ def rearrange(f: SphericalField) -> SphericalField:
     return SphericalField(ps, out, check_range=False)
 
 
-def polarize(f: SphericalField, sigma: Reflection) -> SphericalField:
-    """Two-point rearrangement across sigma: the larger of each mirror pair
-    moves to the pole side; a point on the hyperplane is its own mirror."""
-    ps = f.pointset
-    partner = ps.partner_indices(sigma)
-    side = ps.points @ sigma.vector
-    v = f.values
-    mirrored = v[partner]
-    out = np.where(side > 0.0, np.maximum(v, mirrored),
-                   np.minimum(v, mirrored))
-    return SphericalField(ps, out, check_range=False)
+def _polarized(ps: SpherePointSet, values: np.ndarray, k) -> np.ndarray:
+    """``polarize`` of the fields ``values`` (..., M) across reflection k,
+    or of one field (M,) across each of the reflections k (B,) as (B, M)."""
+    mirrored = values[..., ps._partners[k]]
+    return np.where(ps._pole_side[k], np.maximum(values, mirrored),
+                    np.minimum(values, mirrored))
 
 
-def kernel_apply(kernel: KernelSpec, f: SphericalField) -> SphericalField:
-    """(Kf)_i = sum_j w_j K(<p_i, p_j>) f_j, from the stored rows
-    T = K[R, :]: (Kf)[R] = T @ wf and (Kf)[P[R]] = T @ wf[P], where P is the
-    first mirror's map and R = {i : i <= P[i]}."""
-    ps = f.pointset
+def _smoothed(kernel: KernelSpec, ps: SpherePointSet,
+              values: np.ndarray) -> np.ndarray:
+    """K applied to each field of ``values`` (..., M): (Kf)[R] = T @ wf and
+    (Kf)[P[R]] = T @ wf[P] (see ``kernel_matrix``), two matrix-vector
+    products per field, so no field's result depends on its stack."""
     rows, mirrored, partner = ps._half
     half = ps.kernel_matrix(kernel)
-    wf = ps.weights * f.values
-    out = np.empty(ps.size)
-    # A fixed point i = P[i] lies in both R and P[R]; its row is T @ wf.
-    out[mirrored] = np.dot(half, wf[partner])
-    out[rows] = np.dot(half, wf)
-    return SphericalField(ps, out, check_range=False)
+    wf = (ps.weights * values).reshape(-1, ps.size)
+    out = np.empty(wf.shape)
+    for kf, w in zip(out, wf):
+        # A fixed point i = P[i] lies in both R and P[R]; its row is T @ w.
+        kf[mirrored] = np.dot(half, w[partner])
+        kf[rows] = np.dot(half, w)
+    return out.reshape(np.shape(values))
 
 
-def functional_J(psi: PsiSpec, kernel: KernelSpec, f: SphericalField) -> float:
-    """Weighted sum of psi over the smoothed field."""
-    return _psi_sum(psi, kernel_apply(kernel, f).values, f.pointset.weights)
-
-
-def _psi_sum(psi: PsiSpec, kf: np.ndarray, weights: np.ndarray) -> float:
-    """sum_i w_i psi(kf_i) for an already smoothed field kf."""
+def _psi_sum(psi: PsiSpec, kf: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i w_i psi(kf_i) for each already smoothed field of kf (..., M),
+    one ``math.fsum`` per field."""
     if psi.domain is not None:
         lo, hi = psi.domain
         if kf.min() < lo - 1e-9 or kf.max() > hi + 1e-9:
             raise ValueError("smoothed values escape psi's domain")
         kf = np.clip(kf, lo, hi)
-    return float(math.fsum((weights * psi(kf)).tolist()))
+    terms = (weights * psi(kf)).reshape(-1, kf.shape[-1])
+    return np.array([math.fsum(t.tolist()) for t in terms]).reshape(
+        kf.shape[:-1])
 
 
-def _reflection_checks(f: SphericalField, sigmas, kernel: KernelSpec,
-                       psi: PsiSpec | None = None, tol: float = 1e-10):
-    """Per-reflection metrics of f against f^sigma for each sigma, with f
-    smoothed once and each f^sigma once; J only when ``psi`` is given."""
+def _blocks(count: int, m: int):
+    """Consecutive index ranges over ``count`` fields of M values, each of
+    at most ``_BLOCK`` entries (one field if a field alone is larger)."""
+    step = max(1, _BLOCK // m)
+    return (np.arange(lo, min(lo + step, count))
+            for lo in range(0, count, step))
+
+
+def polarize(f: SphericalField, sigma: Reflection) -> SphericalField:
+    """Two-point rearrangement across sigma: the larger of each mirror pair
+    moves to the pole side; a point on the hyperplane is its own mirror."""
     ps = f.pointset
-    kf = kernel_apply(kernel, f).values
+    return SphericalField(ps, _polarized(ps, f.values,
+                                         ps._reflection_index(sigma)),
+                          check_range=False)
+
+
+def kernel_apply(kernel: KernelSpec, f: SphericalField) -> SphericalField:
+    """(Kf)_i = sum_j w_j K(<p_i, p_j>) f_j, from the kernel's stored rows."""
+    return SphericalField(f.pointset, _smoothed(kernel, f.pointset, f.values),
+                          check_range=False)
+
+
+def functional_J(psi: PsiSpec, kernel: KernelSpec, f: SphericalField) -> float:
+    """Weighted sum of psi over the smoothed field."""
+    ps = f.pointset
+    return float(_psi_sum(psi, _smoothed(kernel, ps, f.values), ps.weights))
+
+
+def _reflection_checks(kernel: KernelSpec, ps: SpherePointSet,
+                       values: np.ndarray, k, psi: PsiSpec | None = None):
+    """The field ``values`` against its polarization across reflection k,
+    or each of the reflections k: the largest deviation of
+    Kf(x) + Kf(sx) = Kf^s(x) + Kf^s(sx), the worst margin of
+    |Kf^s(x) - Kf^s(sx)| >= |Kf(x) - Kf(sx)|, and J(f), J(f^s) when
+    ``psi`` is given."""
+    partner = ps._partners[k]
+    kf = _smoothed(kernel, ps, values)
+    kfs = _smoothed(kernel, ps, _polarized(ps, values, k))
+    kfs_mirror = np.take_along_axis(kfs, partner, axis=-1)
+    sum_dev = np.abs(kf + kf[partner] - kfs - kfs_mirror)
+    diff_margin = np.abs(kfs - kfs_mirror) - np.abs(kf - kf[partner])
+    out = {"max_sum_dev": np.max(sum_dev, axis=-1),
+           "min_diff_margin": np.min(diff_margin, axis=-1)}
     if psi is not None:
-        j_before = _psi_sum(psi, kf, ps.weights)
-    for sigma in sigmas:
-        partner = ps.partner_indices(sigma)
-        kfs = kernel_apply(kernel, polarize(f, sigma)).values
-        sum_dev = np.abs(kf + kf[partner] - kfs - kfs[partner])
-        diff_margin = np.abs(kfs - kfs[partner]) - np.abs(kf - kf[partner])
-        out = {"max_sum_dev": float(np.max(sum_dev)),
-               "min_diff_margin": float(np.min(diff_margin))}
-        if psi is not None:
-            j_after = _psi_sum(psi, kfs, ps.weights)
-            out.update({"j_before": j_before, "j_after": j_after,
-                        "pass": bool(j_after >= j_before - tol)})
-        yield out
+        out["j_before"] = _psi_sum(psi, kf, ps.weights)
+        out["j_after"] = _psi_sum(psi, kfs, ps.weights)
+    return out
 
 
 def polarization_inequality_check(f: SphericalField, sigma: Reflection,
@@ -362,7 +360,12 @@ def polarization_inequality_check(f: SphericalField, sigma: Reflection,
                                   tol: float = 1e-10) -> dict:
     """J(f) <= J(f^sigma) up to float tolerance, with the two-point metrics
     of ``polarization_pointwise_check`` from the same smoothing pass."""
-    return next(_reflection_checks(f, [sigma], kernel, psi, tol))
+    ps = f.pointset
+    res = _reflection_checks(kernel, ps, f.values,
+                             ps._reflection_index(sigma), psi)
+    out = {key: float(v) for key, v in res.items()}
+    out["pass"] = bool(out["j_after"] >= out["j_before"] - tol)
+    return out
 
 
 def polarization_pointwise_check(f: SphericalField, sigma: Reflection,
@@ -372,7 +375,9 @@ def polarization_pointwise_check(f: SphericalField, sigma: Reflection,
     Reports the largest deviation of Kf(x) + Kf(sx) = Kf^s(x) + Kf^s(sx)
     and the worst margin of |Kf^s(x) - Kf^s(sx)| >= |Kf(x) - Kf(sx)|.
     """
-    return next(_reflection_checks(f, [sigma], kernel))
+    ps = f.pointset
+    res = _reflection_checks(kernel, ps, f.values, ps._reflection_index(sigma))
+    return {key: float(v) for key, v in res.items()}
 
 
 def polarization_check(grid_m: int, rho: float, psi: PsiSpec, trials: int,
@@ -391,15 +396,18 @@ def polarization_check(grid_m: int, rho: float, psi: PsiSpec, trials: int,
     checks = failures = 0
     worst_j = worst_sum = worst_diff = 0.0
     for _ in range(trials):
-        f = SphericalField(grid, rng.integers(0, 2, grid_m).astype(float))
-        for res in _reflection_checks(f, grid.reflections, kernel, psi):
-            checks += 1
-            worst_j = max(worst_j, res["j_before"] - res["j_after"])
-            worst_sum = max(worst_sum, res["max_sum_dev"])
-            worst_diff = min(worst_diff, res["min_diff_margin"])
-            if not res["pass"] or res["max_sum_dev"] > 1e-10 \
-                    or res["min_diff_margin"] < -1e-10:
-                failures += 1
+        values = rng.integers(0, 2, grid_m).astype(float)
+        for ks in _blocks(len(grid.reflections), grid_m):
+            res = _reflection_checks(kernel, grid, values, ks, psi)
+            drop = res["j_before"] - res["j_after"]
+            checks += len(ks)
+            worst_j = max(worst_j, float(np.max(drop)))
+            worst_sum = max(worst_sum, float(np.max(res["max_sum_dev"])))
+            worst_diff = min(worst_diff, float(np.min(res["min_diff_margin"])))
+            failures += int(np.count_nonzero(
+                ~(res["j_after"] >= res["j_before"] - 1e-10)
+                | (res["max_sum_dev"] > 1e-10)
+                | (res["min_diff_margin"] < -1e-10)))
     return {"checks": checks, "failures": failures, "worst_j_drop": worst_j,
             "worst_sum_dev": worst_sum, "worst_diff_margin": worst_diff,
             "pass": failures == 0}
@@ -438,7 +446,8 @@ def iterate_polarizations(f: SphericalField, reflections_seed: int, steps: int,
     """Apply randomly chosen supported reflections and trace convergence.
 
     Records the L1 distance to the rearranged field after every step, and
-    the kernel functional J when a kernel/psi pair is supplied.
+    the kernel functional J when a kernel/psi pair is supplied, one stack
+    of ``_BLOCK`` field entries at a time.
     """
     ps = f.pointset
     if not ps.reflections:
@@ -447,23 +456,22 @@ def iterate_polarizations(f: SphericalField, reflections_seed: int, steps: int,
         raise ValueError(f"step count {steps} is negative")
     target = rearrange(f).values
     rng = np.random.default_rng(reflections_seed)
-    record_j = kernel is not None and psi is not None
-
-    def l1(values):
-        return float(np.sum(ps.weights * np.abs(values - target)))
-
     current = f
-    l1_trace = [l1(current.values)]
-    j_trace = [functional_J(psi, kernel, current)] if record_j else None
-    for _ in range(steps):
-        sigma = ps.reflections[rng.integers(len(ps.reflections))]
-        current = polarize(current, sigma)
-        l1_trace.append(l1(current.values))
-        if record_j:
-            j_trace.append(functional_J(psi, kernel, current))
-    out = {"final": current, "l1_to_rearranged": np.asarray(l1_trace)}
-    if record_j:
-        out["j_trace"] = np.asarray(j_trace)
+    l1_trace, j_trace = [], []
+    for ks in _blocks(steps + 1, ps.size):
+        trace = np.empty((len(ks), ps.size))
+        for i, step in enumerate(ks):
+            if step:
+                current = polarize(current, ps.reflections[
+                    rng.integers(len(ps.reflections))])
+            trace[i] = current.values
+        l1_trace.append(np.sum(ps.weights * np.abs(trace - target), axis=-1))
+        if kernel is not None and psi is not None:
+            j_trace.append(_psi_sum(psi, _smoothed(kernel, ps, trace),
+                                    ps.weights))
+    out = {"final": current, "l1_to_rearranged": np.concatenate(l1_trace)}
+    if j_trace:
+        out["j_trace"] = np.concatenate(j_trace)
     return out
 
 

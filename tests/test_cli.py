@@ -304,6 +304,8 @@ class TestDispatchErrors:
          "--spec", "null"],
         ["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5",
          "--spec", "[[0.1, 0.5, 0.9]]"],
+        ["sphere", "polarize-check", "--grid", "5794", "--rho", "0.3",
+         "--trials", "1"],
     ])
     def test_bad_input_exit_2_one_line(self, capsys, tmp_path, monkeypatch,
                                        argv):
@@ -523,14 +525,18 @@ def _references(module: str, tree) -> set:
 def test_library_holds_what_the_commands_run():
     """Each layer's __all__ lists exactly the public functions and classes
     it defines, and each is read elsewhere in the package or imported by the
-    acceptance gate; no module of the package imports a name it never
-    uses."""
+    acceptance gate; each public method of a layer's classes is read as an
+    attribute in the package or the gate; no module of the package imports
+    a name it never uses."""
     src = Path(cli.__file__).parent
     trees = {path.stem: ast.parse(path.read_text())
              for path in src.glob("*.py")}
     used = set().union(*(_references(m, t) for m, t in trees.items()))
     gate = ast.parse((Path(__file__).parent / "test_acceptance.py")
                      .read_text())
+    attributes = {node.attr for tree in [gate, *trees.values()]
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
     used |= {(node.module.split(".")[-1], alias.name)
              for node in ast.walk(gate) if isinstance(node, ast.ImportFrom)
              and (node.module or "").startswith("mostinf.")
@@ -548,6 +554,12 @@ def test_library_holds_what_the_commands_run():
         unreached = [name for name in listed
                      if (layer, name) not in used | SURFACE_EXCEPTIONS]
         assert not unreached, f"{layer}: {unreached}"
+        unread = [f"{cls.name}.{node.name}" for cls in body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_")
+                  and node.name not in attributes]
+        assert not unread, f"{layer}: {unread}"
     for module, tree in trees.items():
         if module == "__init__":
             continue

@@ -47,8 +47,6 @@ def psi_is_increasing(psi):
     """True when the function is nondecreasing on its working domain."""
     if psi.kind in ("square", "abs_power"):
         return True  # on the nonnegative inputs these functionals see
-    if psi.kind == "custom_table":
-        return bool(np.all(np.diff(psi.table) >= -1e-15))
     return False
 
 
@@ -71,7 +69,8 @@ def borell_check(f, psi, rho):
 
 class TestSetSpecs:
     def test_halfspace_measure(self):
-        assert GaussianSetSpec.halfspace(0.0).measure() == pytest.approx(0.5)
+        half = GaussianSetSpec("halfspace", threshold=0.0)
+        assert half.measure() == pytest.approx(0.5)
         assert GaussianSetSpec.halfspace_with_measure(0.3).measure() == \
             pytest.approx(0.3, abs=1e-12)
 
@@ -126,7 +125,7 @@ class TestMehlerKernel:
         for t in (-0.5, 0.3, 1.0):
             for rho in (0.3, 0.6, 0.9):
                 for x1 in (-1.1, 0.7):
-                    spec = GaussianSetSpec.halfspace(t)
+                    spec = GaussianSetSpec("halfspace", threshold=t)
                     assert kernel_mass(t, 12.0, x1, rho) == pytest.approx(
                         ou_apply(spec, rho, x1), abs=1e-7)
         union = GaussianSetSpec.interval_union([(-1.0, -0.2), (0.4, 1.3)])
@@ -150,8 +149,8 @@ class TestMehlerKernel:
         assert mass == pytest.approx(1.0, abs=1e-8)
         val, _ = quad(lambda y: flipped(y) * normal_pdf(y), t, 10.0,
                       epsabs=1e-12)
-        assert abs(val - ou_apply(GaussianSetSpec.halfspace(t), rho, x1)) \
-            > 0.1
+        half = GaussianSetSpec("halfspace", threshold=t)
+        assert abs(val - ou_apply(half, rho, x1)) > 0.1
 
     def test_rho_domain(self):
         with pytest.raises(ValueError):
@@ -160,9 +159,9 @@ class TestMehlerKernel:
 
 class TestSmoothedSets:
     def test_halfspace_center(self):
+        half = GaussianSetSpec("halfspace", threshold=0.0)
         for rho in (0.0, 0.4, 0.9):
-            assert ou_apply(GaussianSetSpec.halfspace(0.0), rho, 0.0) == \
-                pytest.approx(0.5, abs=1e-14)
+            assert ou_apply(half, rho, 0.0) == pytest.approx(0.5, abs=1e-14)
 
     def test_rho_zero_gives_measure(self):
         spec = GaussianSetSpec.interval_union([(-0.5, 0.3), (1.0, 1.7)])
@@ -171,8 +170,8 @@ class TestSmoothedSets:
                                                             abs=1e-12)
 
     def test_high_correlation_limit(self):
-        assert ou_apply(GaussianSetSpec.halfspace(0.4), 0.999, 1.0) == \
-            pytest.approx(1.0, abs=1e-3)
+        half = GaussianSetSpec("halfspace", threshold=0.4)
+        assert ou_apply(half, 0.999, 1.0) == pytest.approx(1.0, abs=1e-3)
 
     def test_interval_union_against_preimage_quadrature(self):
         # Pr[rho x + sqrt(1-rho^2) z lands in the union] integrates the
@@ -190,7 +189,7 @@ class TestSmoothedSets:
 
 class TestNegCondEntropy:
     def test_rho_zero(self):
-        spec = GaussianSetSpec.halfspace(0.7)
+        spec = GaussianSetSpec("halfspace", threshold=0.7)
         assert neg_cond_entropy(spec, 0.0) == pytest.approx(
             -binary_entropy(spec.measure()), abs=1e-10)
 
@@ -198,7 +197,7 @@ class TestNegCondEntropy:
         # The fixed-order oracle is machine-exact at moderate rho; at 0.9
         # the smoothed slab grazes the entropy endpoints and order 200
         # carries an inherent ~1e-7 error, so that point gets its own bar.
-        for spec in (GaussianSetSpec.halfspace(-0.3),
+        for spec in (GaussianSetSpec("halfspace", threshold=-0.3),
                      GaussianSetSpec.interval_union([(-0.6745, 0.6745)])):
             for rho in (0.3, 0.6):
                 assert neg_cond_entropy(spec, rho) == pytest.approx(
@@ -218,7 +217,7 @@ class TestNegCondEntropy:
         assert all(a <= b + 1e-10 for a, b in zip(vals, vals[1:]))
 
     def test_jensen_floor(self):
-        for spec in (GaussianSetSpec.halfspace(0.3),
+        for spec in (GaussianSetSpec("halfspace", threshold=0.3),
                      GaussianSetSpec.interval_union([(-2.0, -1.0),
                                                      (0.5, 1.5)])):
             floor = -binary_entropy(spec.measure())
@@ -230,17 +229,18 @@ class TestNegCondEntropy:
 
 class TestGaussianMI:
     def test_rho_zero(self):
-        assert gaussian_mi(GaussianSetSpec.halfspace(0.0), 0.0) == \
-            pytest.approx(0.0, abs=1e-10)
+        half = GaussianSetSpec("halfspace", threshold=0.0)
+        assert gaussian_mi(half, 0.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_near_empty_set(self):
-        assert gaussian_mi(GaussianSetSpec.halfspace(8.0), 0.5) == \
-            pytest.approx(0.0, abs=1e-10)
+        half = GaussianSetSpec("halfspace", threshold=8.0)
+        assert gaussian_mi(half, 0.5) == pytest.approx(0.0, abs=1e-10)
 
     def test_reported_below_boolean_dictator(self):
         # Comparison report, not an asserted theorem: the centered halfspace
         # at rho = 1 - 2*0.11 sits below the cube dictator value.
-        mi = gaussian_mi(GaussianSetSpec.halfspace(0.0), 1 - 2 * 0.11)
+        mi = gaussian_mi(GaussianSetSpec("halfspace", threshold=0.0),
+                         1 - 2 * 0.11)
         assert mi < 1 - binary_entropy(0.11)
 
 
@@ -515,7 +515,7 @@ class TestDecomposition:
 
 class TestBorell:
     def test_halfspace_is_equality(self):
-        spec = GaussianSetSpec.halfspace(0.2)
+        spec = GaussianSetSpec("halfspace", threshold=0.2)
         res = borell_check(spec, PsiSpec.square(), 0.5)
         assert res["value_f"] == pytest.approx(res["value_halfspace"],
                                                abs=1e-12)
@@ -539,7 +539,7 @@ class TestBorell:
 
     def test_rejects_non_increasing_psi(self):
         with pytest.raises(ValueError):
-            borell_check(GaussianSetSpec.halfspace(0.0),
+            borell_check(GaussianSetSpec("halfspace", threshold=0.0),
                          PsiSpec.neg_binary_entropy(), 0.5)
 
     def test_increasing_flags(self):

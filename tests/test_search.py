@@ -1,6 +1,7 @@
 """Exhaustive scans, orbit invariance, and the ball-versus-AND comparison."""
 
 import json
+import types
 
 import numpy as np
 import pytest
@@ -599,6 +600,28 @@ class TestScanN5:
         monkeypatch.setattr(search, "PROGRESS_EVERY_S", 0.0)
         exhaustive_verify(5, 0.3, chunk_size=1024, max_chunks=3)
         assert len(capsys.readouterr().err.splitlines()) == 4
+
+    def test_eta_follows_the_recent_rate(self, capsys, monkeypatch):
+        # A slow first chunk, then fast ones: each line's rate and ETA come
+        # from the chunks since the line before, not from the whole call.
+        clock = [0.0]
+        pruned = search._pruned_mi
+
+        def timed(reps, *args):
+            clock[0] += 8.0 if reps[0] == 0 else 0.125
+            return pruned(reps, *args)
+        monkeypatch.setattr(search, "_pruned_mi", timed)
+        monkeypatch.setattr(search, "time",
+                            types.SimpleNamespace(monotonic=lambda: clock[0]))
+        monkeypatch.setattr(search, "PROGRESS_EVERY_S", 0.0)
+        exhaustive_verify(5, 0.3, chunk_size=1024, max_chunks=3)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 4
+        assert " 256 tables/s, " in lines[0]
+        # 2 (2^31 - 3072) tables left at 2048 tables per 0.125 s; the
+        # closing line, after no further chunk, keeps that rate.
+        for line in lines[2:]:
+            assert " 1.638e+04 tables/s, ETA 262144 s, " in line, line
 
     def test_early_chunks_contain_lex_values(self):
         # The first representatives include the all-zeros and low-index

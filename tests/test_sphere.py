@@ -22,6 +22,7 @@ from mostinf.sphere import (
     rearrange,
     sphere_sample,
 )
+from test_entropy import TablePsi
 
 
 def random_01_field(ps, rng):
@@ -122,10 +123,11 @@ class TestPointSetConstruction:
         points, pole = self.grid_parts()
         sigma = Reflection.from_vector([np.sin(np.pi / 8), -np.cos(np.pi / 8)],
                                        pole)
-        SpherePointSet(2, 1.0, points, pole, [(sigma, (1 - np.arange(8)) % 8)])
+        SpherePointSet(2, 1.0, points, pole, [sigma],
+                       [(1 - np.arange(8)) % 8])
         with pytest.raises(ValueError, match="not closed"):
-            SpherePointSet(2, 1.0, points, pole,
-                           [(sigma, (2 - np.arange(8)) % 8)])
+            SpherePointSet(2, 1.0, points, pole, [sigma],
+                           [(2 - np.arange(8)) % 8])
 
     def test_plane_through_the_pole_rejected(self):
         points, pole = self.grid_parts()
@@ -133,13 +135,13 @@ class TestPointSetConstruction:
         # the pole.
         with pytest.raises(ValueError, match="pole"):
             SpherePointSet(2, 1.0, points, pole,
-                           [(Reflection.from_vector([0.0, 1.0]),
-                             (-np.arange(8)) % 8)])
+                           [Reflection.from_vector([0.0, 1.0])],
+                           [(-np.arange(8)) % 8])
 
     def test_points_off_the_sphere_rejected(self):
         points, pole = self.grid_parts()
         with pytest.raises(ValueError, match="sphere"):
-            SpherePointSet(2, 1.0, 1.01 * points, pole, [])
+            SpherePointSet(2, 1.0, 1.01 * points, pole, [], [])
 
 
 class TestRearrange:
@@ -211,12 +213,12 @@ class TestPolarize:
 
 class TestKernelApply:
     def test_constant_kernel(self):
+        # At rho = 0 the Poisson kernel is 1 everywhere.
         g = circle_grid(16)
         rng = np.random.default_rng(9)
         f = SphericalField(g, rng.uniform(0, 1, 16))
-        k = KernelSpec.custom_monotone([-1.0, 1.0], [2.5, 2.5])
-        out = kernel_apply(k, f)
-        np.testing.assert_allclose(out.values, 2.5 * f.mean(), atol=1e-12)
+        out = kernel_apply(KernelSpec.poisson(0.0, 2), f)
+        np.testing.assert_allclose(out.values, f.mean(), atol=1e-12)
 
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
     def test_poisson_unit_mass_on_fine_grid(self, rho):
@@ -240,15 +242,21 @@ class TestKernelApply:
         with pytest.raises(ValueError):
             KernelSpec.poisson(1.0, 2)
 
-    def test_step_kernel_monotone(self):
-        k = KernelSpec.step(0.2)
-        s = np.linspace(-1, 1, 41)
-        vals = k.evaluate(s)
-        assert np.all(np.diff(vals) >= 0.0)
+    @pytest.mark.parametrize("m", [8, 16, 64, 256])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8, 0.95])
+    def test_circle_mass_is_the_aliased_poisson_series(self, m, rho):
+        # sum_j K(<p_i, p_j>) / M = sum_k rho^|k| over the frequencies k
+        # aliased to 0 on the M-grid, (1 + rho^M) / (1 - rho^M): a grid row
+        # holds more than unit mass, by 2 rho^M to first order.
+        ones = SphericalField(circle_grid(m), np.ones(m))
+        mass = kernel_apply(KernelSpec.poisson(rho, 2), ones).values
+        np.testing.assert_allclose(mass, (1 + rho ** m) / (1 - rho ** m),
+                                   rtol=1e-12, atol=0.0)
 
-    def test_custom_kernel_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            KernelSpec.custom_monotone([-1.0, 0.0, 1.0], [1.0, 0.5, 2.0])
+    def test_poisson_kernel_monotone(self):
+        vals = KernelSpec.poisson(0.6, 3)._evaluate_owned(
+            np.linspace(-1, 1, 41), 1.0)
+        assert np.all(np.diff(vals) > 0.0)
 
 
 class TestFunctionalJ:
@@ -291,7 +299,7 @@ PSI_FOR_GRID32 = [
     (PsiSpec.neg_binary_entropy(), 0.3),
     (PsiSpec.square(), 0.6),
     (PsiSpec.abs_power(3.0), 0.6),
-    (PsiSpec.custom_table([(i / 8) ** 2 for i in range(9)]), 0.3),
+    (TablePsi([(i / 8) ** 2 for i in range(9)]), 0.3),
 ]
 
 
@@ -347,23 +355,26 @@ class TestPolarizationInequality:
                 assert pw["min_diff_margin"] >= -1e-10, m
 
     def test_library_check_matches_per_reflection_checks(self):
+        # The 258-grid's 257 polarized fields span two stacked blocks.
         psi = PsiSpec.neg_binary_entropy()
-        out = polarization_check(16, 0.6, psi, 3, seed=5)
-        g = circle_grid(16)
-        kernel = KernelSpec.poisson(0.6, 2)
-        rng = np.random.default_rng(5)
-        worst_j = worst_sum = worst_diff = 0.0
-        for _ in range(3):
-            f = random_01_field(g, rng)
-            for sigma in g.reflections:
-                res = polarization_inequality_check(f, sigma, kernel, psi)
-                pw = polarization_pointwise_check(f, sigma, kernel)
-                worst_j = max(worst_j, res["j_before"] - res["j_after"])
-                worst_sum = max(worst_sum, pw["max_sum_dev"])
-                worst_diff = min(worst_diff, pw["min_diff_margin"])
-        assert out == {"checks": 45, "failures": 0, "worst_j_drop": worst_j,
-                       "worst_sum_dev": worst_sum,
-                       "worst_diff_margin": worst_diff, "pass": True}
+        for m, rho, trials in ((16, 0.6, 3), (258, 0.5, 1)):
+            out = polarization_check(m, rho, psi, trials, seed=5)
+            g = circle_grid(m)
+            kernel = KernelSpec.poisson(rho, 2)
+            rng = np.random.default_rng(5)
+            worst_j = worst_sum = worst_diff = 0.0
+            for _ in range(trials):
+                f = random_01_field(g, rng)
+                for sigma in g.reflections:
+                    res = polarization_inequality_check(f, sigma, kernel, psi)
+                    pw = polarization_pointwise_check(f, sigma, kernel)
+                    worst_j = max(worst_j, res["j_before"] - res["j_after"])
+                    worst_sum = max(worst_sum, pw["max_sum_dev"])
+                    worst_diff = min(worst_diff, pw["min_diff_margin"])
+            assert out == {"checks": trials * (m - 1), "failures": 0,
+                           "worst_j_drop": worst_j,
+                           "worst_sum_dev": worst_sum,
+                           "worst_diff_margin": worst_diff, "pass": True}
 
     def test_monte_carlo_point_set(self):
         ps = sphere_sample(3, 600, seed=21)
@@ -424,6 +435,29 @@ class TestIteratePolarizations:
         j_target = functional_J(psi, kernel, rearrange(f))
         assert jt[-1] <= j_target + 1e-10
 
+    def test_traces_match_step_by_step(self):
+        # 1,101 fields of 64 values span two stacked blocks; each entry
+        # must equal the lone field's J and L1 to the bit.
+        g = circle_grid(64)
+        f = random_01_field(g, np.random.default_rng(20))
+        kernel = KernelSpec.poisson(0.7, 2)
+        psi = PsiSpec.neg_binary_entropy()
+        res = iterate_polarizations(f, reflections_seed=3, steps=1100,
+                                    kernel=kernel, psi=psi)
+        target = rearrange(f).values
+        rng = np.random.default_rng(3)
+        current, j_want, l1_want = f, [], []
+        for step in range(1101):
+            if step:
+                current = polarize(current, g.reflections[
+                    rng.integers(len(g.reflections))])
+            j_want.append(functional_J(psi, kernel, current))
+            l1_want.append(float(np.sum(
+                g.weights * np.abs(current.values - target))))
+        assert res["j_trace"].tolist() == j_want
+        assert res["l1_to_rearranged"].tolist() == l1_want
+        assert np.array_equal(res["final"].values, current.values)
+
 
 class TestSphericalMI:
     def test_rho_zero(self):
@@ -459,16 +493,12 @@ class TestSphericalMI:
 
 
 def kernel_formula(kernel, inner, radius):
-    """Each kind's kernel at the inner products ``inner``, one expression
-    per kind, as ``KernelSpec.evaluate`` must compute it."""
+    """The Poisson kernel at the inner products ``inner``, in one
+    expression, as the stored kernel rows must hold it."""
     s = np.asarray(inner, dtype=float)
-    if kernel.kind == "poisson":
-        rho, d = kernel.rho, kernel.dim
-        sq = radius ** 2 * (1.0 + rho ** 2) - 2.0 * rho * s
-        return (1.0 - rho ** 2) * radius ** d * sq ** (-d / 2.0)
-    if kernel.kind == "step":
-        return (s >= kernel.threshold).astype(float)
-    return np.interp(s, kernel.nodes, kernel.table)
+    rho, d = kernel.rho, kernel.dim
+    sq = radius ** 2 * (1.0 + rho ** 2) - 2.0 * rho * s
+    return (1.0 - rho ** 2) * radius ** d * sq ** (-d / 2.0)
 
 
 def dense_kernel(kernel, ps):
@@ -485,8 +515,8 @@ def fixed_point_circle(m=16):
     pole = np.array([1.0, 0.0])
     phi = 2 * np.pi / m
     sigma = Reflection.from_vector([np.sin(phi), -np.cos(phi)], pole)
-    return SpherePointSet(2, 1.0, points, pole,
-                          [(sigma, (2 - np.arange(m)) % m)])
+    return SpherePointSet(2, 1.0, points, pole, [sigma],
+                          [(2 - np.arange(m)) % m])
 
 
 HALF_KERNEL_SETS = (
@@ -501,12 +531,6 @@ class TestHalfKernel:
     first mirror's map P; kernel_apply must equal the dense product."""
 
     @staticmethod
-    def kernels(dim, rho):
-        return [KernelSpec.poisson(rho, dim), KernelSpec.step(0.1),
-                KernelSpec.custom_monotone([-1.0, 0.0, 0.5, 1.0],
-                                           [0.0, 0.2, 1.0, 4.0])]
-
-    @staticmethod
     def fields(ps, rng):
         return ([rng.integers(0, 2, ps.size).astype(float) for _ in range(3)]
                 + [rng.uniform(0.0, 1.0, ps.size) for _ in range(3)])
@@ -519,17 +543,15 @@ class TestHalfKernel:
         rng = np.random.default_rng(31)
         rows = np.flatnonzero(
             np.arange(ps.size) <= ps.partner_indices(ps.reflections[0]))
-        for kernel in self.kernels(ps.n, rho):
-            dense = dense_kernel(kernel, ps)
-            # Relative to the largest entry: the custom kernel nears 0 at
-            # inner product -1, where its rounding is not relatively small.
-            assert np.max(np.abs(ps.kernel_matrix(kernel) - dense[rows])) \
-                <= 1e-15 * np.max(np.abs(dense[rows])), (kernel.kind, name)
-            for values in self.fields(ps, rng):
-                want = dense @ (ps.weights * values)
-                got = kernel_apply(kernel, SphericalField(ps, values)).values
-                assert np.max(np.abs(got - want)) <= \
-                    1e-15 * np.max(np.abs(want)), (kernel.kind, name)
+        kernel = KernelSpec.poisson(rho, ps.n)
+        dense = dense_kernel(kernel, ps)
+        assert np.max(np.abs(ps.kernel_matrix(kernel) - dense[rows])) \
+            <= 1e-15 * np.max(np.abs(dense[rows])), name
+        for values in self.fields(ps, rng):
+            want = dense @ (ps.weights * values)
+            got = kernel_apply(kernel, SphericalField(ps, values)).values
+            assert np.max(np.abs(got - want)) <= \
+                1e-15 * np.max(np.abs(want)), name
 
     @pytest.mark.parametrize("name,build", HALF_KERNEL_SETS,
                              ids=[n for n, _ in HALF_KERNEL_SETS])
@@ -575,27 +597,27 @@ class TestHalfKernel:
             [np.sin(np.pi / 8), -np.cos(np.pi / 8)], pole)
         partner = np.append((1 - np.arange(8)) % 8, 1)
         with pytest.raises(ValueError, match="involution"):
-            SpherePointSet(2, 1.0, points, pole, [(sigma, partner)])
+            SpherePointSet(2, 1.0, points, pole, [sigma], [partner])
 
 
 class TestKernelEvaluate:
     @pytest.mark.parametrize("kernel", [
         KernelSpec.poisson(0.0, 3), KernelSpec.poisson(0.3, 2),
-        KernelSpec.poisson(0.7, 4), KernelSpec.poisson(0.5, 7),
-        KernelSpec.step(0.2),
-        KernelSpec.custom_monotone([-1.0, 0.0, 1.0], [0.0, 1.0, 3.0])],
-        ids=lambda k: f"{k.kind}-{k.rho}-{k.dim}")
+        KernelSpec.poisson(0.7, 4), KernelSpec.poisson(0.5, 7)],
+        ids=lambda k: f"poisson-{k.rho}-{k.dim}")
     @pytest.mark.parametrize("radius", [1.0, 2.5])
     def test_bit_equal_and_input_untouched(self, kernel, radius):
+        # The stored rows are the formula at the points' inner products,
+        # bit for bit, and building them leaves the points as they were.
         rng = np.random.default_rng(34)
-        inner = rng.uniform(-radius ** 2, radius ** 2, (7, 11))
-        kept = inner.copy()
-        got = kernel.evaluate(inner, radius)
-        assert np.array_equal(inner, kept)
-        assert np.array_equal(got, kernel_formula(kernel, kept, radius))
-        scalar = kernel.evaluate(0.25, radius)
-        assert scalar == kernel_formula(kernel, 0.25, radius)
-        assert np.ndim(scalar) == 0
+        points = rng.standard_normal((11, kernel.dim))
+        points *= radius / np.linalg.norm(points, axis=1, keepdims=True)
+        kept = points.copy()
+        ps = SpherePointSet(kernel.dim, radius, points, points[0], [], [])
+        got = ps.kernel_matrix(kernel)
+        assert np.array_equal(ps.points, kept)
+        assert np.array_equal(got, kernel_formula(kernel, kept @ kept.T,
+                                                  radius))
 
 
 class TestMcCap:
@@ -611,6 +633,19 @@ class TestMcCap:
         # 4096 x 8192 entries is the cap itself, so the sample is drawn.
         with pytest.raises(AssertionError, match="sample drawn"):
             sphere_mod.mc_check(4, 8192, 0.5, 0)
+
+    def test_oversized_grid_rejected_before_building(self, monkeypatch):
+        import mostinf.sphere as sphere_mod
+
+        def boom(*args):
+            raise AssertionError("grid built")
+        monkeypatch.setattr(sphere_mod.Reflection, "from_vector", boom)
+        # 5793 x 5794 map entries exceed 2^25; 5791 x 5792 do not.
+        for m in (5794, 100_000):
+            with pytest.raises(ValueError, match="MC_MAX_ENTRIES"):
+                sphere_mod.circle_grid(m)
+        with pytest.raises(AssertionError, match="grid built"):
+            sphere_mod.circle_grid(5792)
 
     def test_sample_in_high_dimension(self):
         ps = sphere_sample(100_000, 2, seed=0)
