@@ -80,30 +80,22 @@ def _table_size(n: int) -> int:
 
 
 class BooleanFunction:
-    """Truth table over the n-cube, bits packed, convention applied on read."""
+    """Truth table over the n-cube, uint8 bits, convention applied on read."""
 
-    __slots__ = ("n", "convention", "_packed", "_bits")
+    __slots__ = ("n", "convention", "bits")
 
     def __init__(self, n: int, bits, convention: str = ZERO_ONE):
         size = _table_size(n)
         if convention not in (ZERO_ONE, PLUS_MINUS):
             raise ValueError(f"unknown value convention {convention!r}")
-        b = np.asarray(bits, dtype=np.uint8)
+        b = np.array(bits, dtype=np.uint8)
         if b.shape != (size,):
             raise ValueError(f"table length {b.size} != 2^{n}")
         if np.any(b > 1):
             raise ValueError("table entries must be 0/1")
         self.n = n
         self.convention = convention
-        self._packed = np.packbits(b, bitorder="little")
-        self._bits = None
-
-    @property
-    def bits(self) -> np.ndarray:
-        if self._bits is None:
-            self._bits = np.unpackbits(
-                self._packed, count=1 << self.n, bitorder="little")
-        return self._bits
+        self.bits = b
 
     def values(self) -> np.ndarray:
         """Table read under the declared convention, as floats."""
@@ -112,15 +104,13 @@ class BooleanFunction:
             return 1.0 - 2.0 * b
         return b
 
-    def mean(self) -> float:
-        return float(np.mean(self.values()))
-
     def reread(self, convention: str) -> "BooleanFunction":
         return BooleanFunction(self.n, self.bits, convention)
 
     def table_int(self) -> int:
         """Table as an integer with table bit j at binary position j."""
-        return int.from_bytes(self._packed.tobytes(), "little")
+        return int.from_bytes(
+            np.packbits(self.bits, bitorder="little").tobytes(), "little")
 
     @classmethod
     def from_int(cls, n: int, table: int,
@@ -136,10 +126,7 @@ class BooleanFunction:
     def __eq__(self, other):
         return (isinstance(other, BooleanFunction) and self.n == other.n
                 and self.convention == other.convention
-                and np.array_equal(self._packed, other._packed))
-
-    def __hash__(self):
-        return hash((self.n, self.convention, self._packed.tobytes()))
+                and np.array_equal(self.bits, other.bits))
 
     def __repr__(self):
         return f"BooleanFunction(n={self.n}, conv={self.convention})"
@@ -229,17 +216,15 @@ def _damped_inverse(coeffs: np.ndarray, rho: float) -> np.ndarray:
     return _hadamard_inplace(coeffs * rho ** levels)
 
 
-def _smooth(tables, rho: float, coeffs: np.ndarray | None = None) -> np.ndarray:
+def _smooth(tables, rho: float) -> np.ndarray:
     """T_rho along the last axis of stacked 2^n-entry tables.
 
-    ``coeffs`` is the tables' spectrum (forward transform over the size)
-    when the caller already holds it.  T_rho averages each row, so the
-    result must stay in the row's own [min, max]: an escape beyond 1e-9 is
-    an AssertionError, anything inside is clipped.
+    T_rho averages each row, so the result must stay in the row's own
+    [min, max]: an escape beyond 1e-9 is an AssertionError, anything inside
+    is clipped.
     """
     tables = np.asarray(tables, dtype=float)
-    if coeffs is None:
-        coeffs = _hadamard_inplace(tables) / tables.shape[-1]
+    coeffs = _hadamard_inplace(tables) / tables.shape[-1]
     out = _damped_inverse(coeffs, rho)
     lo = tables.min(axis=-1, keepdims=True)
     hi = tables.max(axis=-1, keepdims=True)
@@ -318,8 +303,7 @@ def mutual_information_phi(f: BooleanFunction, rho: float) -> float:
     if f.convention != PLUS_MINUS:
         raise ValueError("phi path requires the plus_minus convention")
     t = _smooth(f.values(), rho)
-    weights = np.full(t.size, 1.0 / t.size)
-    return phi_entropy(t, weights)
+    return phi_entropy(t)
 
 
 def mi_check(text: str, alpha: float, multi: int | None = None) -> dict:
@@ -540,7 +524,7 @@ def taylor_curvature_check(f: BooleanFunction, rho: float = 1e-3):
         raise ValueError("constant functions have no curvature to check")
     spec = fwht(f.reread(ZERO_ONE))
     w1 = degree_weight(spec, 1)
-    smoothed = _smooth(bits, rho, spec.coeffs)
+    smoothed = _smooth(bits, rho)
     avg_h = math.fsum(binary_entropy(smoothed).tolist()) / smoothed.size
     measured = (avg_h - binary_entropy(mu)) / rho ** 2
     predicted = c2_coefficient(mu) * w1

@@ -64,27 +64,20 @@ def phi(t):
     return out
 
 
-def phi_entropy(values, weights) -> float:
-    """Jensen gap sum_i w_i phi(v_i) - phi(sum_i w_i v_i).
+def phi_entropy(values) -> float:
+    """Jensen gap E phi(V) - phi(E V) of the values V under the uniform
+    measure.
 
-    ``weights`` must be a probability vector (sum within 1e-12 of 1) and all
-    values must lie in [-1, 1].  Nonnegative by convexity of phi; zero iff
-    the values are all equal.
+    All values must lie in [-1, 1].  Nonnegative by convexity of phi; zero
+    iff the values are all equal.
     """
     v = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if v.shape != w.shape:
-        raise ValueError("phi_entropy: values and weights length mismatch")
-    if np.any(w < 0.0):
-        raise ValueError("phi_entropy: negative weight")
-    if abs(math.fsum(w.tolist()) - 1.0) > 1e-12:
-        raise ValueError("phi_entropy: weights do not sum to 1")
+    w = 1.0 / v.size
     if np.any(np.abs(v) > 1.0):
         raise ValueError("phi_entropy: value outside [-1, 1]")
     mean = math.fsum((w * v).tolist())
     # Compensated accumulation keeps the Jensen gap meaningful near zero.
-    gap = math.fsum((w * phi(v)).tolist()) - phi(mean)
-    return gap
+    return math.fsum((w * phi(v)).tolist()) - phi(mean)
 
 
 def normal_cdf(z: float) -> float:

@@ -403,7 +403,7 @@ def decomposition_integral_check(g, params: LimitParams, seed: int,
     ball-times-fiber splitting, reporting lhs, rhs, and their ratio, and
     as "ratio_exact" the closed-form ratio for g = 1 at the same power.
 
-    ``g`` is "const", "x1sq", or a callable on (samples, N) point arrays.
+    ``g`` names the integrand: "const" (g = 1) or "x1sq" (g = x_1^2).
     With ``exponent="corrected"`` the radial density is
     (1 - ||x||^2/R^2)^((N-n-2)/2), which makes the splitting an exact
     identity (ratio 1, independent of g); ``exponent="printed"`` uses the
@@ -411,10 +411,9 @@ def decomposition_integral_check(g, params: LimitParams, seed: int,
     g-dependent at finite N.  The two powers agree in every N -> infinity
     limit, which is the only way the splitting is used downstream.
     """
-    if isinstance(g, str):
-        if g not in _DECOMP_TEST_FUNCTIONS:
-            raise ValueError(f"unknown test function {g!r}")
-        g = _DECOMP_TEST_FUNCTIONS[g]
+    if g not in _DECOMP_TEST_FUNCTIONS:
+        raise ValueError(f"unknown test function {g!r}")
+    g = _DECOMP_TEST_FUNCTIONS[g]
     if exponent == "corrected":
         power = 0.5 * (params.N - params.n - 2)
     elif exponent == "printed":

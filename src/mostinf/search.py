@@ -36,7 +36,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,6 @@ from .cube import (
     dictator,
     format_truth_table,
     hamming_ball_w1_exact,
-    lex,
     symmetric_mi,
 )
 
@@ -75,14 +74,12 @@ TIE_TOL = 1e-12
 class SearchReport:
     n: int
     alpha: float
-    constraint: int | None
     max_mi: float
     argmax: list[int]
     bound: float
     bound_satisfied: bool
     functions_scanned: int
-    argmax_is_dictators: bool = False
-    lex_attains: bool | None = None
+    argmax_is_dictators: bool
 
 
 MAX_KERNEL_N = 5
@@ -210,7 +207,6 @@ def _scan_report(n: int, alpha: float, max_mi: float, argmax: list[int],
     return SearchReport(
         n=n,
         alpha=alpha,
-        constraint=None,
         max_mi=max_mi,
         argmax=argmax,
         bound=bound,
@@ -233,10 +229,8 @@ def fixed_mean_max(n: int, m: int, alpha: float) -> SearchReport:
     mi = _batched_mi(_bits_matrix(sel, size), alpha)
     max_mi = float(np.max(mi))
     winners = sel[mi >= max_mi - TIE_TOL]
-    report = _scan_report(n, alpha, max_mi, winners[:ARGMAX_CAP].tolist(),
-                          int(sel.size))
-    return replace(report, constraint=m,
-                   lex_attains=bool(lex(n, m).table_int() in winners))
+    return _scan_report(n, alpha, max_mi, winners[:ARGMAX_CAP].tolist(),
+                        int(sel.size))
 
 
 def ball_profile_for_mean(n: int, mu: float) -> SymmetricProfile:

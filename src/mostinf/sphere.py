@@ -54,9 +54,9 @@ _BLOCK = 1 << 16
 class Reflection:
     """Hyperplane through the origin, stored by its unit normal.
 
-    The normal is oriented so the distinguished pole lies strictly on the
-    positive side; orientation is fixed against the pole at point-set
-    construction time.
+    ``from_vector`` orients the normal so that a given pole lies strictly
+    on the positive side; polarization reads the pole side from the points'
+    heights, so it does not depend on the orientation.
     """
 
     normal: tuple
@@ -90,8 +90,8 @@ class Reflection:
 class SpherePointSet:
     """Equal-weight points on a radius-R sphere with mirrors: each
     supported reflection ``reflections[l]`` and its index map, the row
-    ``partners[l]`` of one (L, M) array, an involution whose entry j must
-    lie within 1e-9 max(1, R) of sigma(p_j), checked at construction."""
+    ``partners[l]`` of one (L, M) int32 array, an involution whose entry j
+    must lie within 1e-9 max(1, R) of sigma(p_j), checked at construction."""
 
     def __init__(self, n: int, radius: float, points, pole, reflections,
                  partners):
@@ -107,14 +107,13 @@ class SpherePointSet:
         if np.max(np.abs(norms - self.radius)) > tol:
             raise ValueError("points do not lie on the sphere")
         self.reflections = list(reflections)
-        partners = np.asarray(partners, dtype=np.intp)
+        partners = np.asarray(partners, dtype=np.int32)
         if partners.size != len(self.reflections) * self.size:
             raise ValueError("point set is not closed under a reflection")
         self._partners = partners.reshape(len(self.reflections), self.size)
-        self._pole_side = np.empty(self._partners.shape, dtype=bool)
+        self._height = self.points @ self.pole
         ident = np.arange(self.size)
-        for sigma, partner, side in zip(self.reflections, self._partners,
-                                        self._pole_side):
+        for sigma, partner in zip(self.reflections, self._partners):
             if abs(float(np.dot(sigma.vector, self.pole))) <= \
                     _MATCH_TOL * self.radius:
                 raise ValueError("hyperplane passes through the pole")
@@ -123,10 +122,9 @@ class SpherePointSet:
                 raise ValueError("point set is not closed under a reflection")
             if (partner[partner] != ident).any():
                 raise ValueError("mirror map is not an involution")
-            side[:] = self.points @ sigma.vector > 0.0
         self._index = {sigma: k for k, sigma in enumerate(self.reflections)}
-        first = self.partner_indices(self.reflections[0]) \
-            if self.reflections else ident
+        first = ident if not self.reflections else \
+            self.partner_indices(self.reflections[0]).astype(np.intp)
         rows = np.flatnonzero(ident <= first)
         self._half = (rows, first[rows], first)     # R, P[R], P
         self._kernel_cache: dict = {}
@@ -136,7 +134,7 @@ class SpherePointSet:
         return self.weights.size
 
     def polar_angles(self) -> np.ndarray:
-        c = (self.points @ self.pole) / (self.radius ** 2)
+        c = self._height / (self.radius ** 2)
         return np.arccos(np.clip(c, -1.0, 1.0))
 
     def partner_indices(self, sigma: Reflection) -> np.ndarray:
@@ -154,6 +152,9 @@ class SpherePointSet:
         mirror); ``kernel_apply`` gets the rows P[R] from
         K(<p_P(r), p_j>) = K(<p_r, p_P(j)>).  Cached."""
         if kernel not in self._kernel_cache:
+            if kernel.dim != self.n:
+                raise ValueError(f"a kernel on the sphere in R^{kernel.dim} "
+                                 f"cannot smooth points in R^{self.n}")
             gram = self.points[self._half[0]] @ self.points.T
             self._kernel_cache[kernel] = kernel._evaluate_owned(gram,
                                                                 self.radius)
@@ -175,10 +176,6 @@ class SphericalField:
         if self.check_range and (self.values.min() < -1e-12
                                  or self.values.max() > 1.0 + 1e-12):
             raise ValueError("field values outside [0, 1]")
-
-    def mean(self) -> float:
-        total = float(np.sum(self.pointset.weights))
-        return float(self.pointset.weights @ self.values) / total
 
 
 @dataclass(frozen=True)
@@ -233,7 +230,8 @@ def circle_grid(m: int) -> SpherePointSet:
     pole = np.array([1.0, 0.0])
     reflections = [Reflection.from_vector([np.sin(a), -np.cos(a)], pole)
                    for a in np.pi * np.arange(1, m) / m]
-    partners = np.subtract.outer(np.arange(1, m), np.arange(m))
+    partners = np.subtract.outer(np.arange(1, m, dtype=np.int32),
+                                 np.arange(m, dtype=np.int32))
     partners %= m
     return SpherePointSet(2, 1.0, points, pole, reflections, partners)
 
@@ -270,10 +268,12 @@ def rearrange(f: SphericalField) -> SphericalField:
 
 def _polarized(ps: SpherePointSet, values: np.ndarray, k) -> np.ndarray:
     """``polarize`` of the fields ``values`` (..., M) across reflection k,
-    or of one field (M,) across each of the reflections k (B,) as (B, M)."""
-    mirrored = values[..., ps._partners[k]]
-    return np.where(ps._pole_side[k], np.maximum(values, mirrored),
-                    np.minimum(values, mirrored))
+    or of one field (M,) across each of the reflections k (B,) as (B, M).
+    A point is on the pole's side exactly when it is higher than its mirror."""
+    partner = ps._partners[k].astype(np.intp)
+    mirrored = values[..., partner]
+    return np.where(ps._height > ps._height[partner],
+                    np.maximum(values, mirrored), np.minimum(values, mirrored))
 
 
 def _smoothed(kernel: KernelSpec, ps: SpherePointSet,
@@ -341,7 +341,7 @@ def _reflection_checks(kernel: KernelSpec, ps: SpherePointSet,
     Kf(x) + Kf(sx) = Kf^s(x) + Kf^s(sx), the worst margin of
     |Kf^s(x) - Kf^s(sx)| >= |Kf(x) - Kf(sx)|, and J(f), J(f^s) when
     ``psi`` is given."""
-    partner = ps._partners[k]
+    partner = ps._partners[k].astype(np.intp)
     kf = _smoothed(kernel, ps, values)
     kfs = _smoothed(kernel, ps, _polarized(ps, values, k))
     kfs_mirror = np.take_along_axis(kfs, partner, axis=-1)
@@ -441,13 +441,12 @@ def mc_check(dim: int, points: int, rho: float, seed: int) -> dict:
 
 
 def iterate_polarizations(f: SphericalField, reflections_seed: int, steps: int,
-                          kernel: KernelSpec | None = None,
-                          psi: PsiSpec | None = None) -> dict:
+                          kernel: KernelSpec, psi: PsiSpec) -> dict:
     """Apply randomly chosen supported reflections and trace convergence.
 
-    Records the L1 distance to the rearranged field after every step, and
-    the kernel functional J when a kernel/psi pair is supplied, one stack
-    of ``_BLOCK`` field entries at a time.
+    Records the L1 distance to the rearranged field and the kernel
+    functional J after every step, one stack of ``_BLOCK`` field entries
+    at a time.
     """
     ps = f.pointset
     if not ps.reflections:
@@ -466,13 +465,10 @@ def iterate_polarizations(f: SphericalField, reflections_seed: int, steps: int,
                     rng.integers(len(ps.reflections))])
             trace[i] = current.values
         l1_trace.append(np.sum(ps.weights * np.abs(trace - target), axis=-1))
-        if kernel is not None and psi is not None:
-            j_trace.append(_psi_sum(psi, _smoothed(kernel, ps, trace),
-                                    ps.weights))
-    out = {"final": current, "l1_to_rearranged": np.concatenate(l1_trace)}
-    if j_trace:
-        out["j_trace"] = np.concatenate(j_trace)
-    return out
+        j_trace.append(_psi_sum(psi, _smoothed(kernel, ps, trace),
+                                ps.weights))
+    return {"final": current, "l1_to_rearranged": np.concatenate(l1_trace),
+            "j_trace": np.concatenate(j_trace)}
 
 
 def rearrange_check(grid_m: int, rho: float, steps: int, seed: int) -> dict:

@@ -113,16 +113,16 @@ class TestPhi:
 class TestPhiEntropy:
     def test_jensen_equality_for_constants(self):
         for c in (-0.7, 0.0, 0.4):
-            assert phi_entropy([c, c, c], [0.2, 0.3, 0.5]) == \
+            assert phi_entropy([c, c, c]) == \
                 pytest.approx(0.0, abs=1e-13)
 
     def test_pm_one_split(self):
-        assert phi_entropy([1.0, -1.0], [0.5, 0.5]) == \
+        assert phi_entropy([1.0, -1.0]) == \
             pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
     def test_dictator_value(self, rho):
-        assert phi_entropy([rho, -rho], [0.5, 0.5]) == \
+        assert phi_entropy([rho, -rho]) == \
             pytest.approx(phi(rho), abs=1e-14)
 
     def test_nonnegative_and_zero_iff_equal(self):
@@ -130,19 +130,14 @@ class TestPhiEntropy:
         for _ in range(200):
             m = rng.integers(2, 6)
             v = rng.uniform(-1.0, 1.0, m)
-            w = rng.dirichlet(np.ones(m))
-            gap = phi_entropy(v, w)
+            gap = phi_entropy(v)
             assert gap >= -1e-13
             if np.ptp(v) > 1e-3:
                 assert gap > 0.0
 
-    def test_weight_sum_violation(self):
-        with pytest.raises(ValueError):
-            phi_entropy([0.1, 0.2], [0.5, 0.6])
-
     def test_value_domain_violation(self):
         with pytest.raises(ValueError):
-            phi_entropy([1.2, 0.0], [0.5, 0.5])
+            phi_entropy([1.2, 0.0])
 
 
 class TestNormalHelpers:

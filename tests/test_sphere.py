@@ -39,7 +39,8 @@ def spherical_mi(f, rho):
     assert -1e-6 <= smooth.min() and smooth.max() <= 1.0 + 1e-6
     smooth = np.clip(smooth, 0.0, 1.0)
     cond = math.fsum((ps.weights * binary_entropy(smooth)).tolist())
-    return binary_entropy(f.mean()) - cond / float(np.sum(ps.weights))
+    mean = float(ps.weights @ f.values) / float(np.sum(ps.weights))
+    return binary_entropy(mean) - cond / float(np.sum(ps.weights))
 
 
 class TestCircleGrid:
@@ -203,6 +204,36 @@ class TestPolarize:
         assert set(np.unique(out.values)) <= {0.0, 1.0}
         assert out.values.sum() == f.values.sum()
 
+    def test_larger_value_goes_to_the_pole_side(self):
+        # Off its plane, a point p gets the larger value of its pair exactly
+        # when p.v > 0, v the mirror's normal, oriented toward the pole.
+        rng = np.random.default_rng(21)
+        sets = [circle_grid(m) for m in range(8, 130, 2)]
+        sets += [sphere_sample(d, m, seed) for d in (3, 4, 6, 7)
+                 for m in (2, 10, 300, 2000) for seed in range(5)]
+        for ps in sets:
+            values = rng.uniform(0.0, 1.0, ps.size)
+            f = SphericalField(ps, values)
+            for sigma in ps.reflections:
+                partner = ps.partner_indices(sigma)
+                off = partner != np.arange(ps.size)
+                want = np.where(ps.points @ sigma.vector > 0.0,
+                                np.maximum(values, values[partner]),
+                                np.minimum(values, values[partner]))
+                np.testing.assert_array_equal(
+                    polarize(f, sigma).values[off], want[off])
+
+    def test_normal_pointing_away_from_the_pole(self):
+        # A hand-built normal with v.pole < 0 still sends the larger value
+        # of each pair toward the pole.
+        points, pole = TestPointSetConstruction().grid_parts()
+        a = np.pi / 8
+        away = Reflection((-float(np.sin(a)), float(np.cos(a))))
+        ps = SpherePointSet(2, 1.0, points, pole, [away],
+                            [(1 - np.arange(8)) % 8])
+        out = polarize(SphericalField(ps, np.arange(8) == 1), away)
+        np.testing.assert_array_equal(out.values, np.arange(8) == 0)
+
     def test_closure_required(self):
         ps = sphere_sample(3, 100, seed=1)
         other = Reflection.from_vector([0.3, 0.9, 0.1], ps.pole)
@@ -218,7 +249,19 @@ class TestKernelApply:
         rng = np.random.default_rng(9)
         f = SphericalField(g, rng.uniform(0, 1, 16))
         out = kernel_apply(KernelSpec.poisson(0.0, 2), f)
-        np.testing.assert_allclose(out.values, f.mean(), atol=1e-12)
+        mean = float(g.weights @ f.values) / float(np.sum(g.weights))
+        np.testing.assert_allclose(out.values, mean, atol=1e-12)
+
+    @pytest.mark.parametrize("build,dim", [
+        (lambda: circle_grid(64), 3), (lambda: circle_grid(64), 5),
+        (lambda: sphere_sample(4, 200, 0), 2)], ids=["2-3", "2-5", "4-2"])
+    def test_kernel_of_another_dimension_rejected(self, build, dim):
+        # Built anyway, such a kernel smooths the constant-1 field on the
+        # 64-grid to 1.418 (dim 3) or 3.725 (dim 5) instead of about 1.
+        ps = build()
+        f = SphericalField(ps, np.ones(ps.size))
+        with pytest.raises(ValueError, match=f"R\\^{dim} cannot smooth"):
+            kernel_apply(KernelSpec.poisson(0.5, dim), f)
 
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
     def test_poisson_unit_mass_on_fine_grid(self, rho):
@@ -416,7 +459,9 @@ class TestIteratePolarizations:
         g = circle_grid(32)
         rng = np.random.default_rng(16)
         f = rearrange(random_01_field(g, rng))
-        res = iterate_polarizations(f, reflections_seed=5, steps=50)
+        res = iterate_polarizations(f, reflections_seed=5, steps=50,
+                                    kernel=KernelSpec.poisson(0.5, 2),
+                                    psi=PsiSpec.square())
         np.testing.assert_allclose(res["l1_to_rearranged"], 0.0, atol=1e-14)
 
     def test_random_field_converges(self):
