@@ -27,7 +27,6 @@ from .entropy import binary_entropy, phi_entropy
 __all__ = [
     "BooleanFunction",
     "MultiOutputFunction",
-    "FourierSpectrum",
     "SymmetricProfile",
     "fwht",
     "mutual_information_direct",
@@ -149,22 +148,6 @@ class MultiOutputFunction:
 
 
 @dataclass
-class FourierSpectrum:
-    """2^n real coefficients indexed by subset bitmask."""
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.shape != (1 << self.n,):
-            raise ValueError("coefficient count mismatch")
-
-    def level_masks(self, k: int) -> np.ndarray:
-        return _popcount(np.arange(1 << self.n)) == k
-
-
-@dataclass
 class SymmetricProfile:
     """Value of a weight-symmetric function per Hamming level.
 
@@ -200,11 +183,10 @@ def _hadamard_inplace(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def fwht(f: BooleanFunction) -> FourierSpectrum:
-    """Fourier coefficients under f's declared value convention."""
-    vals = f.values()
-    coeffs = _hadamard_inplace(vals) / (1 << f.n)
-    return FourierSpectrum(f.n, coeffs)
+def fwht(f: BooleanFunction) -> np.ndarray:
+    """The 2^n Fourier coefficients under f's declared value convention,
+    indexed by subset bitmask."""
+    return _hadamard_inplace(f.values()) / (1 << f.n)
 
 
 def _damped_inverse(coeffs: np.ndarray, rho: float) -> np.ndarray:
@@ -319,11 +301,12 @@ def mi_check(text: str, alpha: float, multi: int | None = None) -> dict:
             "path_difference": abs(mi - mi_phi)}
 
 
-def degree_weight(spec: FourierSpectrum, k: int) -> float:
-    """Fourier weight at degree k."""
-    if not 0 <= k <= spec.n:
-        raise ValueError(f"level {k} outside 0..{spec.n}")
-    sel = spec.coeffs[spec.level_masks(k)]
+def degree_weight(coeffs: np.ndarray, k: int) -> float:
+    """Fourier weight at degree k of the 2^n coefficients ``coeffs``."""
+    n = coeffs.size.bit_length() - 1
+    if not 0 <= k <= n:
+        raise ValueError(f"level {k} outside 0..{n}")
+    sel = coeffs[_popcount(np.arange(coeffs.size)) == k]
     return float(math.fsum((sel * sel).tolist()))
 
 
@@ -630,15 +613,12 @@ def perfect_code_check(alpha: float) -> dict:
 # truth-table text format
 
 
-def format_truth_table(f: BooleanFunction, hex_form: bool = False) -> str:
-    """Two-line text form: header, then the table in ascending index order."""
+def format_truth_table(f: BooleanFunction) -> str:
+    """Two-line text form: header, then the table integer's hex digits,
+    least significant nibble first."""
     header = f"n={f.n} conv={f.convention}"
-    if hex_form:
-        # The table integer's hex digits, least significant nibble first.
-        width = ((1 << f.n) + 3) // 4
-        return f"{header}\n0x{format(f.table_int(), f'0{width}x')[::-1]}\n"
-    body = "".join("1" if b else "0" for b in f.bits)
-    return f"{header}\n{body}\n"
+    width = ((1 << f.n) + 3) // 4
+    return f"{header}\n0x{format(f.table_int(), f'0{width}x')[::-1]}\n"
 
 
 def _header_fields(header: str, *keys: str) -> dict:

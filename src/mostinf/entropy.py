@@ -132,15 +132,15 @@ def erkip_bound(alpha: float) -> float:
 class PsiSpec:
     """A convex scalar function usable inside the kernel functionals.
 
-    ``kind`` is one of ``neg_binary_entropy`` (-h, convex, not increasing),
-    ``square`` or ``abs_power`` (|t|^p with p >= 1).
+    ``kind`` is ``neg_binary_entropy`` (-h, convex, not increasing) or
+    ``abs_power`` (|t|^p with p >= 1; ``square`` is p = 2).
     """
 
     kind: str
     power: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("neg_binary_entropy", "square", "abs_power"):
+        if self.kind not in ("neg_binary_entropy", "abs_power"):
             raise ValueError(f"unknown PsiSpec kind {self.kind!r}")
         if self.kind == "abs_power" and self.power < 1.0:
             raise ValueError("abs_power requires p >= 1")
@@ -151,7 +151,7 @@ class PsiSpec:
 
     @classmethod
     def square(cls) -> "PsiSpec":
-        return cls("square")
+        return cls.abs_power(2.0)
 
     @classmethod
     def abs_power(cls, p: float) -> "PsiSpec":
@@ -168,8 +168,6 @@ class PsiSpec:
         v = np.asarray(t, dtype=float)
         if self.kind == "neg_binary_entropy":
             out = -binary_entropy(v)
-        elif self.kind == "square":
-            out = v * v
         else:
             out = np.abs(v) ** self.power
         if np.isscalar(t) or np.ndim(t) == 0:

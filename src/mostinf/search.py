@@ -437,8 +437,7 @@ def verify_check(n: int, alpha: float, **scan) -> dict:
     """``exhaustive_verify(n, alpha, **scan)`` as metrics and verdict (none
     while an unfinished scan keeps the bound); n <= 3 tabulates every MI."""
     report = exhaustive_verify(n, alpha, **scan)
-    hexes = [format_truth_table(BooleanFunction.from_int(n, t),
-                                hex_form=True).splitlines()[1]
+    hexes = [format_truth_table(BooleanFunction.from_int(n, t)).splitlines()[1]
              for t in report.argmax[:16]]
     metrics = {"max_mi": report.max_mi, "bound": report.bound,
                "margin": report.bound - report.max_mi,

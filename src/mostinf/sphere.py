@@ -5,7 +5,7 @@ points to grid points, so the two-point identities behind the polarization
 inequality hold to float precision.  Higher-dimensional spheres use
 Monte Carlo point sets: a half and its mirror image across one hyperplane.
 
-Every point set's first listed mirror sigma has an index map P, an
+Every point set's mirror 0, sigma, has an index map P, an
 involution.  Since sigma is self-adjoint, K(<p_P(r), p_j>) = K(<p_r, p_P(j)>),
 so the kernel's rows on R = {i : i <= P[i]} determine the rest: with
 T = K[R, :], (Kw)[R] = T @ w and (Kw)[P[R]] = T @ w[P].  A point set caches
@@ -23,7 +23,6 @@ import numpy as np
 from .entropy import PsiSpec
 
 __all__ = [
-    "Reflection",
     "SpherePointSet",
     "SphericalField",
     "KernelSpec",
@@ -50,81 +49,47 @@ MC_MAX_ENTRIES = 1 << 25
 _BLOCK = 1 << 16
 
 
-@dataclass(frozen=True)
-class Reflection:
-    """Hyperplane through the origin, stored by its unit normal.
-
-    ``from_vector`` orients the normal so that a given pole lies strictly
-    on the positive side; polarization reads the pole side from the points'
-    heights, so it does not depend on the orientation.
-    """
-
-    normal: tuple
-
-    @classmethod
-    def from_vector(cls, v, pole=None) -> "Reflection":
-        v = np.asarray(v, dtype=float)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValueError("reflection normal must be nonzero")
-        v = v / norm
-        if pole is not None:
-            side = float(np.dot(v, pole))
-            if abs(side) <= _MATCH_TOL * np.linalg.norm(pole):
-                raise ValueError("hyperplane passes through the pole")
-            if side < 0.0:
-                v = -v
-        return cls(tuple(float(c) for c in v))
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.normal)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        v = self.vector
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        out = pts - 2.0 * (pts @ v)[:, None] * v[None, :]
-        return out if np.ndim(points) > 1 else out[0]
+def _reflect(points: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The rows of ``points`` mirrored across the hyperplane of unit normal v."""
+    return points - 2.0 * (points @ v)[:, None] * v[None, :]
 
 
 class SpherePointSet:
-    """Equal-weight points on a radius-R sphere with mirrors: each
-    supported reflection ``reflections[l]`` and its index map, the row
-    ``partners[l]`` of one (L, M) int32 array, an involution whose entry j
-    must lie within 1e-9 max(1, R) of sigma(p_j), checked at construction."""
+    """Equal-weight points on the unit sphere in R^n, n = points.shape[1],
+    with the pole at e1, and their mirrors: mirror k, for k in
+    ``reflections``, is the reflection across the hyperplane of unit normal
+    ``normals[k]``, and its index map is the row ``partners[k]`` of one
+    (L, M) int32 array.  Each map must be an involution whose entry j lies
+    within 1e-9 of sigma_k(p_j).  The normals are checked at construction
+    and not kept."""
 
-    def __init__(self, n: int, radius: float, points, pole, reflections,
-                 partners):
-        self.n = int(n)
-        self.radius = float(radius)
+    def __init__(self, points, normals, partners):
         self.points = np.asarray(points, dtype=float)
-        self.pole = np.asarray(pole, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != self.n:
-            raise ValueError(f"points must form an (M, {self.n}) array")
+        if self.points.ndim != 2:
+            raise ValueError("points must form an (M, n) array")
+        self.n = self.points.shape[1]
         self.weights = np.full(len(self.points), 1.0 / len(self.points))
-        tol = _MATCH_TOL * max(1.0, self.radius)
         norms = np.linalg.norm(self.points, axis=1)
-        if np.max(np.abs(norms - self.radius)) > tol:
+        if np.max(np.abs(norms - 1.0)) > _MATCH_TOL:
             raise ValueError("points do not lie on the sphere")
-        self.reflections = list(reflections)
+        normals = np.asarray(normals, dtype=float)
+        self.reflections = range(len(normals))
         partners = np.asarray(partners, dtype=np.int32)
-        if partners.size != len(self.reflections) * self.size:
+        if partners.size != len(normals) * self.size:
             raise ValueError("point set is not closed under a reflection")
-        self._partners = partners.reshape(len(self.reflections), self.size)
-        self._height = self.points @ self.pole
+        self.partners = partners.reshape(len(normals), self.size)
+        self._height = np.ascontiguousarray(self.points[:, 0])
         ident = np.arange(self.size)
-        for sigma, partner in zip(self.reflections, self._partners):
-            if abs(float(np.dot(sigma.vector, self.pole))) <= \
-                    _MATCH_TOL * self.radius:
+        for v, partner in zip(normals, self.partners):
+            if abs(v[0]) <= _MATCH_TOL:
                 raise ValueError("hyperplane passes through the pole")
-            if np.max(np.linalg.norm(sigma.apply(self.points)
-                                     - self.points[partner], axis=1)) > tol:
+            if np.max(np.linalg.norm(_reflect(self.points, v)
+                                     - self.points[partner], axis=1)) \
+                    > _MATCH_TOL:
                 raise ValueError("point set is not closed under a reflection")
             if (partner[partner] != ident).any():
                 raise ValueError("mirror map is not an involution")
-        self._index = {sigma: k for k, sigma in enumerate(self.reflections)}
-        first = ident if not self.reflections else \
-            self.partner_indices(self.reflections[0]).astype(np.intp)
+        first = self.partners[0].astype(np.intp) if len(normals) else ident
         rows = np.flatnonzero(ident <= first)
         self._half = (rows, first[rows], first)     # R, P[R], P
         self._kernel_cache: dict = {}
@@ -134,17 +99,7 @@ class SpherePointSet:
         return self.weights.size
 
     def polar_angles(self) -> np.ndarray:
-        c = self._height / (self.radius ** 2)
-        return np.arccos(np.clip(c, -1.0, 1.0))
-
-    def partner_indices(self, sigma: Reflection) -> np.ndarray:
-        """Index of each point's mirror image; errors if not supported."""
-        return self._partners[self._reflection_index(sigma)]
-
-    def _reflection_index(self, sigma: Reflection) -> int:
-        if sigma not in self._index:
-            raise ValueError("point set does not support this reflection")
-        return self._index[sigma]
+        return np.arccos(np.clip(self._height, -1.0, 1.0))
 
     def kernel_matrix(self, kernel: "KernelSpec") -> np.ndarray:
         """T = K[R, :], the kernel's rows on R = {i : i <= P[i]}, one point
@@ -156,8 +111,7 @@ class SpherePointSet:
                 raise ValueError(f"a kernel on the sphere in R^{kernel.dim} "
                                  f"cannot smooth points in R^{self.n}")
             gram = self.points[self._half[0]] @ self.points.T
-            self._kernel_cache[kernel] = kernel._evaluate_owned(gram,
-                                                                self.radius)
+            self._kernel_cache[kernel] = kernel._evaluate_owned(gram)
         return self._kernel_cache[kernel]
 
 
@@ -180,7 +134,7 @@ class SphericalField:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """The Poisson kernel (1 - rho^2) / ||x - rho y||^dim on the radius-R
+    """The Poisson kernel (1 - rho^2) / ||x - rho y||^dim on the unit
     sphere in R^dim, normalized against the uniform probability measure: a
     non-decreasing bounded function of the inner product."""
 
@@ -197,24 +151,24 @@ class KernelSpec:
     def poisson(cls, rho: float, dim: int) -> "KernelSpec":
         return cls(rho=float(rho), dim=int(dim))
 
-    def _evaluate_owned(self, s: np.ndarray, radius: float) -> np.ndarray:
+    def _evaluate_owned(self, s: np.ndarray) -> np.ndarray:
         """The kernel at the inner products ``s``, a float array the caller
         owns: the formula overwrites ``s`` and returns it."""
         rho, d = self.rho, self.dim
-        # ||x - rho y||^2 = R^2 (1 + rho^2) - 2 rho <x,y>, >= R^2(1-rho)^2.
+        # ||x - rho y||^2 = 1 + rho^2 - 2 rho <x,y>, >= (1 - rho)^2.
         s *= 2.0 * rho
-        np.subtract(radius ** 2 * (1.0 + rho ** 2), s, out=s)
+        np.subtract(1.0 + rho ** 2, s, out=s)
         s **= -d / 2.0
-        s *= (1.0 - rho ** 2) * radius ** d
+        s *= 1.0 - rho ** 2
         return s
 
 
 def circle_grid(m: int) -> SpherePointSet:
     """Uniform M-point grid on the unit circle, pole at angle zero.
 
-    Supported reflections are the axes at angles pi*l/M for l = 1..M-1; the
-    polar axis itself (l = 0) is excluded.  The axis at pi*l/M maps grid
-    point j to point (l - j) mod M exactly.  A grid whose (M - 1) x M maps
+    Mirror l - 1, for l = 1..M-1, is the axis at angle pi*l/M; the polar
+    axis itself (l = 0) is excluded.  The axis at pi*l/M maps grid point j
+    to point (l - j) mod M exactly.  A grid whose (M - 1) x M maps
     would hold more than ``MC_MAX_ENTRIES`` entries is rejected first.
     """
     if m % 2 != 0:
@@ -227,13 +181,12 @@ def circle_grid(m: int) -> SpherePointSet:
                          f"{MC_MAX_ENTRIES} entries")
     theta = 2.0 * np.pi * np.arange(m) / m
     points = np.column_stack([np.cos(theta), np.sin(theta)])
-    pole = np.array([1.0, 0.0])
-    reflections = [Reflection.from_vector([np.sin(a), -np.cos(a)], pole)
-                   for a in np.pi * np.arange(1, m) / m]
+    axes = np.pi * np.arange(1, m) / m
+    normals = np.column_stack([np.sin(axes), -np.cos(axes)])
     partners = np.subtract.outer(np.arange(1, m, dtype=np.int32),
                                  np.arange(m, dtype=np.int32))
     partners %= m
-    return SpherePointSet(2, 1.0, points, pole, reflections, partners)
+    return SpherePointSet(points, normals, partners)
 
 
 def sphere_sample(n: int, m: int, seed: int) -> SpherePointSet:
@@ -248,9 +201,8 @@ def sphere_sample(n: int, m: int, seed: int) -> SpherePointSet:
     half /= np.linalg.norm(half, axis=1, keepdims=True)
     pole = np.zeros(n)
     pole[0] = 1.0
-    sigma = Reflection.from_vector(pole, pole)
-    return SpherePointSet(n, 1.0, np.vstack([half, sigma.apply(half)]), pole,
-                          [sigma], [(np.arange(m) + m // 2) % m])
+    return SpherePointSet(np.vstack([half, _reflect(half, pole)]), [pole],
+                          [(np.arange(m) + m // 2) % m])
 
 
 def rearrange(f: SphericalField) -> SphericalField:
@@ -267,10 +219,10 @@ def rearrange(f: SphericalField) -> SphericalField:
 
 
 def _polarized(ps: SpherePointSet, values: np.ndarray, k) -> np.ndarray:
-    """``polarize`` of the fields ``values`` (..., M) across reflection k,
-    or of one field (M,) across each of the reflections k (B,) as (B, M).
-    A point is on the pole's side exactly when it is higher than its mirror."""
-    partner = ps._partners[k].astype(np.intp)
+    """``polarize`` of the fields ``values`` (..., M) across mirror k, or of
+    one field (M,) across each of the mirrors k (B,) as (B, M).  A point is
+    on the pole's side exactly when it is higher than its mirror image."""
+    partner = ps.partners[k].astype(np.intp)
     mirrored = values[..., partner]
     return np.where(ps._height > ps._height[partner],
                     np.maximum(values, mirrored), np.minimum(values, mirrored))
@@ -313,12 +265,19 @@ def _blocks(count: int, m: int):
             for lo in range(0, count, step))
 
 
-def polarize(f: SphericalField, sigma: Reflection) -> SphericalField:
-    """Two-point rearrangement across sigma: the larger of each mirror pair
-    moves to the pole side; a point on the hyperplane is its own mirror."""
+def _mirror(ps: SpherePointSet, k: int) -> int:
+    """k, which must name one of the point set's mirrors."""
+    if not 0 <= k < len(ps.reflections):
+        raise ValueError(f"mirror {k!r} outside the point set's mirrors "
+                         f"0..{len(ps.reflections) - 1}")
+    return k
+
+
+def polarize(f: SphericalField, k: int) -> SphericalField:
+    """Two-point rearrangement across mirror k: the larger value of each
+    pair moves to the pole side; a point on the hyperplane is its own pair."""
     ps = f.pointset
-    return SphericalField(ps, _polarized(ps, f.values,
-                                         ps._reflection_index(sigma)),
+    return SphericalField(ps, _polarized(ps, f.values, _mirror(ps, k)),
                           check_range=False)
 
 
@@ -336,12 +295,12 @@ def functional_J(psi: PsiSpec, kernel: KernelSpec, f: SphericalField) -> float:
 
 def _reflection_checks(kernel: KernelSpec, ps: SpherePointSet,
                        values: np.ndarray, k, psi: PsiSpec | None = None):
-    """The field ``values`` against its polarization across reflection k,
-    or each of the reflections k: the largest deviation of
+    """The field ``values`` against its polarization across mirror k, or
+    each of the mirrors k: the largest deviation of
     Kf(x) + Kf(sx) = Kf^s(x) + Kf^s(sx), the worst margin of
     |Kf^s(x) - Kf^s(sx)| >= |Kf(x) - Kf(sx)|, and J(f), J(f^s) when
     ``psi`` is given."""
-    partner = ps._partners[k].astype(np.intp)
+    partner = ps.partners[k].astype(np.intp)
     kf = _smoothed(kernel, ps, values)
     kfs = _smoothed(kernel, ps, _polarized(ps, values, k))
     kfs_mirror = np.take_along_axis(kfs, partner, axis=-1)
@@ -355,28 +314,27 @@ def _reflection_checks(kernel: KernelSpec, ps: SpherePointSet,
     return out
 
 
-def polarization_inequality_check(f: SphericalField, sigma: Reflection,
+def polarization_inequality_check(f: SphericalField, k: int,
                                   kernel: KernelSpec, psi: PsiSpec,
                                   tol: float = 1e-10) -> dict:
-    """J(f) <= J(f^sigma) up to float tolerance, with the two-point metrics
-    of ``polarization_pointwise_check`` from the same smoothing pass."""
+    """J(f) <= J(f^k) up to float tolerance, with the two-point metrics of
+    ``polarization_pointwise_check`` for mirror k from the same pass."""
     ps = f.pointset
-    res = _reflection_checks(kernel, ps, f.values,
-                             ps._reflection_index(sigma), psi)
+    res = _reflection_checks(kernel, ps, f.values, _mirror(ps, k), psi)
     out = {key: float(v) for key, v in res.items()}
     out["pass"] = bool(out["j_after"] >= out["j_before"] - tol)
     return out
 
 
-def polarization_pointwise_check(f: SphericalField, sigma: Reflection,
+def polarization_pointwise_check(f: SphericalField, k: int,
                                  kernel: KernelSpec) -> dict:
-    """Pointwise two-point identities for the smoothed field.
+    """Pointwise two-point identities for the smoothed field and mirror k.
 
     Reports the largest deviation of Kf(x) + Kf(sx) = Kf^s(x) + Kf^s(sx)
     and the worst margin of |Kf^s(x) - Kf^s(sx)| >= |Kf(x) - Kf(sx)|.
     """
     ps = f.pointset
-    res = _reflection_checks(kernel, ps, f.values, ps._reflection_index(sigma))
+    res = _reflection_checks(kernel, ps, f.values, _mirror(ps, k))
     return {key: float(v) for key, v in res.items()}
 
 
@@ -428,10 +386,9 @@ def mc_check(dim: int, points: int, rho: float, seed: int) -> dict:
     ps = sphere_sample(dim, points, seed)
     rng = np.random.default_rng(seed + 1)
     f = SphericalField(ps, rng.integers(0, 2, points).astype(float))
-    res = polarization_inequality_check(f, ps.reflections[0],
-                                        KernelSpec.poisson(rho, dim),
+    res = polarization_inequality_check(f, 0, KernelSpec.poisson(rho, dim),
                                         PsiSpec.square())
-    mean_proj = float(np.mean(ps.points @ ps.pole))
+    mean_proj = float(np.mean(ps._height))
     keys = ("j_before", "j_after", "max_sum_dev", "min_diff_margin")
     return {"weight_sum": float(np.sum(ps.weights)),
             "mean_pole_projection": mean_proj, **{k: res[k] for k in keys},

@@ -638,8 +638,18 @@ PARAMETER_EXCEPTIONS = {
 }
 
 
-def _defaulted_parameters(layer: str, tree):
-    """(layer, callee, parameter, position) of each defaulted parameter of
+# Parameters to which every call in the package and the gate passes one and
+# the same literal.
+CONSTANT_EXCEPTIONS = {
+    # The gate's criterion 5 names both values; the degree is the one the
+    # curvature prediction reads, and rho the criterion's small correlation.
+    ("cube", "degree_weight", "k"),
+    ("cube", "taylor_curvature_check", "rho"),
+}
+
+
+def _parameters(layer: str, tree):
+    """(layer, callee, parameter, position, defaulted) of each parameter of
     the layer's public functions and methods.  A method's callee is its
     name (its class's for ``__init__``), and its positions skip self or
     cls; a keyword-only parameter has position None."""
@@ -654,17 +664,16 @@ def _defaulted_parameters(layer: str, tree):
         if callee.startswith("_"):
             continue
         args = node.args.posonlyargs + node.args.args
-        for i, arg in enumerate(args[len(args) - len(node.args.defaults):],
-                                len(args) - len(node.args.defaults)):
-            yield layer, callee, arg.arg, i - skip
+        first_default = len(args) - len(node.args.defaults)
+        for i, arg in enumerate(args[skip:], skip):
+            yield layer, callee, arg.arg, i - skip, i >= first_default
         for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
-            if default is not None:
-                yield layer, callee, arg.arg, None
+            yield layer, callee, arg.arg, None, default is not None
 
 
 def _calls(tree):
-    """(callee, positional count, keywords, passes **) of each call in a
-    module, except calls of an imported module's attributes (``np.sum``)."""
+    """(callee, call) of each call in a module, except calls of an imported
+    module's attributes (``np.sum``)."""
     modules = _module_names(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -678,28 +687,67 @@ def _calls(tree):
             callee = func.id
         else:
             continue
-        keywords = {k.arg for k in node.keywords}
-        yield callee, len(node.args), keywords - {None}, None in keywords
+        yield callee, node
 
 
-def test_every_default_is_set_by_a_caller():
-    """Each defaulted parameter of a layer's public functions and methods
-    is passed, by position, by keyword or through **, by some call in the
-    package or the acceptance gate: a default that no caller moves is a
-    constant, not a parameter."""
+def _argument(call, name: str, pos):
+    """What a call passes for a parameter: the expression, a ``*`` or
+    ``**`` argument that may hold it, or None when it leaves the default."""
+    if pos is not None:
+        for i, arg in enumerate(call.args):
+            if i == pos or isinstance(arg, ast.Starred):
+                return arg
+    return next((k.value for k in call.keywords if k.arg in (name, None)),
+                None)
+
+
+def _literal(node):
+    """The source text of a literal expression, else None."""
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.unparse(node)
+
+
+def _package_calls():
+    """The layer modules' syntax trees, and (callee, call) of each call in
+    the package and the acceptance gate."""
     src = Path(cli.__file__).parent
     trees = {path.stem: ast.parse(path.read_text())
              for path in src.glob("*.py")}
     gate = ast.parse((Path(__file__).parent / "test_acceptance.py")
                      .read_text())
-    calls = [call for tree in [gate, *trees.values()]
-             for call in _calls(tree)]
+    return trees, [call for tree in [gate, *trees.values()]
+                   for call in _calls(tree)]
+
+
+def test_every_default_is_set_by_a_caller():
+    """Each defaulted parameter of a layer's public functions and methods
+    is passed, by position, by keyword or through ** or *, by some call in
+    the package or the acceptance gate: a default that no caller moves is a
+    constant, not a parameter."""
+    trees, calls = _package_calls()
     unset = [(layer, callee, name)
              for layer in LAYERS
-             for layer, callee, name, pos in _defaulted_parameters(
+             for layer, callee, name, pos, defaulted in _parameters(
                  layer, trees[layer])
-             if not any(c == callee and (
-                 star or name in keywords
-                 or (pos is not None and count > pos))
-                 for c, count, keywords, star in calls)]
+             if defaulted and not any(
+                 c == callee and _argument(call, name, pos) is not None
+                 for c, call in calls)]
     assert sorted(unset) == sorted(PARAMETER_EXCEPTIONS)
+
+
+def test_no_parameter_is_one_literal_at_every_call():
+    """No parameter of a layer's public functions, methods and classes gets
+    one and the same literal from every call in the package and the
+    acceptance gate: such a parameter is a constant."""
+    trees, calls = _package_calls()
+    constant = []
+    for layer in LAYERS:
+        for layer, callee, name, pos, _ in _parameters(layer, trees[layer]):
+            passed = {_literal(_argument(call, name, pos))
+                      for c, call in calls if c == callee}
+            if len(passed) == 1 and None not in passed:
+                constant.append((layer, callee, name))
+    assert sorted(constant) == sorted(CONSTANT_EXCEPTIONS)

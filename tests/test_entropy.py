@@ -245,6 +245,13 @@ class TablePsi:
                          self.table)
 
 
+def psi_id(psi):
+    """A test id: the kind of a psi, with the power of |t|^p."""
+    if getattr(psi, "kind", None) == "abs_power":
+        return f"abs_power-{psi.power}"
+    return str(getattr(psi, "kind", psi))
+
+
 PSI_REGISTRY = [
     PsiSpec.neg_binary_entropy(),
     PsiSpec.square(),
@@ -256,7 +263,7 @@ PSI_REGISTRY = [
 
 class TestPsiSpec:
     @pytest.mark.parametrize("psi", PSI_REGISTRY,
-                             ids=lambda p: f"{p.kind}")
+                             ids=psi_id)
     def test_convex_sum_lemma(self, psi):
         # x + y = x' + y' with |x' - y'| >= |x - y| implies
         # psi(x) + psi(y) <= psi(x') + psi(y').

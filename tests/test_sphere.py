@@ -8,7 +8,6 @@ import pytest
 from mostinf.entropy import PsiSpec, binary_entropy
 from mostinf.sphere import (
     KernelSpec,
-    Reflection,
     SpherePointSet,
     SphericalField,
     circle_grid,
@@ -22,11 +21,25 @@ from mostinf.sphere import (
     rearrange,
     sphere_sample,
 )
-from test_entropy import TablePsi
+from test_entropy import TablePsi, psi_id
 
 
 def random_01_field(ps, rng):
     return SphericalField(ps, rng.integers(0, 2, ps.size).astype(float))
+
+
+def mirror_normals(ps):
+    """A unit normal with v_1 > 0 for each mirror of a built point set: the
+    circle grid's axis at pi l/M for mirror l - 1, or a sample's e1."""
+    if ps.n == 2:
+        axes = np.pi * np.arange(1, ps.size) / ps.size
+        return np.column_stack([np.sin(axes), -np.cos(axes)])
+    return np.eye(ps.n)[:1]
+
+
+def reflect(x, v):
+    """x mirrored across the hyperplane of unit normal v."""
+    return x - 2.0 * (x @ v) * v
 
 
 def spherical_mi(f, rho):
@@ -53,8 +66,8 @@ class TestCircleGrid:
 
     def test_grid_closure_under_all_reflections(self):
         g = circle_grid(16)
-        for ell, sigma in enumerate(g.reflections, start=1):
-            partner = g.partner_indices(sigma)
+        for ell, k in enumerate(g.reflections, start=1):
+            partner = g.partners[k]
             expected = (ell - np.arange(16)) % 16
             np.testing.assert_array_equal(partner, expected)
 
@@ -69,34 +82,41 @@ class TestReflectionIdentities:
     def test_inner_product_preserved(self):
         rng = np.random.default_rng(1)
         g = circle_grid(32)
-        for sigma in g.reflections[:8]:
+        for v in mirror_normals(g)[:8]:
             x = g.points[rng.integers(32)]
             y = g.points[rng.integers(32)]
-            assert abs(x @ y - sigma.apply(x) @ sigma.apply(y)) <= 1e-10
+            assert abs(x @ y - reflect(x, v) @ reflect(y, v)) <= 1e-10
 
     def test_positive_side_inequality(self):
         rng = np.random.default_rng(2)
         ps = sphere_sample(4, 400, seed=5)
-        sigma = ps.reflections[0]
-        v = sigma.vector
+        v = mirror_normals(ps)[0]
         pos = ps.points[ps.points @ v > 0]
         for _ in range(200):
             x = pos[rng.integers(len(pos))]
             y = pos[rng.integers(len(pos))]
-            assert x @ y >= sigma.apply(x) @ y - 1e-10
+            assert x @ y >= reflect(x, v) @ y - 1e-10
 
-    def test_pole_on_plane_rejected(self):
+    def test_index_outside_the_mirrors_rejected(self):
         g = circle_grid(8)
-        bad = Reflection.from_vector([0.0, 1.0])  # plane through the pole
-        with pytest.raises(ValueError):
-            g.partner_indices(bad)
+        f = SphericalField(g, np.zeros(8))
+        kernel = KernelSpec.poisson(0.5, 2)
+        for k in (len(g.reflections), -1):
+            for check in (
+                    lambda: polarize(f, k),
+                    lambda: polarization_inequality_check(
+                        f, k, kernel, PsiSpec.square()),
+                    lambda: polarization_pointwise_check(f, k, kernel)):
+                with pytest.raises(ValueError, match=f"mirror {k} ") as err:
+                    check()
+                assert "\n" not in str(err.value)
 
 
 class TestSphereSample:
     def test_weights_and_closure(self):
         ps = sphere_sample(3, 500, seed=11)
         assert float(np.sum(ps.weights)) == pytest.approx(1.0, abs=1e-12)
-        partner = ps.partner_indices(ps.reflections[0])
+        partner = ps.partners[0]
         np.testing.assert_array_equal(partner[partner], np.arange(500))
 
     def test_mean_projection_small(self):
@@ -110,39 +130,33 @@ class TestSphereSample:
 
     def test_map_is_the_half_swap(self):
         ps = sphere_sample(4, 300, seed=3)
-        np.testing.assert_array_equal(ps.partner_indices(ps.reflections[0]),
+        np.testing.assert_array_equal(ps.partners[0],
                                       (np.arange(300) + 150) % 300)
 
 
 class TestPointSetConstruction:
     def grid_parts(self, m=8):
         theta = 2 * np.pi * np.arange(m) / m
-        points = np.column_stack([np.cos(theta), np.sin(theta)])
-        return points, np.array([1.0, 0.0])
+        return np.column_stack([np.cos(theta), np.sin(theta)])
 
     def test_map_that_does_not_close_rejected(self):
-        points, pole = self.grid_parts()
-        sigma = Reflection.from_vector([np.sin(np.pi / 8), -np.cos(np.pi / 8)],
-                                       pole)
-        SpherePointSet(2, 1.0, points, pole, [sigma],
-                       [(1 - np.arange(8)) % 8])
+        points = self.grid_parts()
+        normal = [np.sin(np.pi / 8), -np.cos(np.pi / 8)]
+        SpherePointSet(points, [normal], [(1 - np.arange(8)) % 8])
         with pytest.raises(ValueError, match="not closed"):
-            SpherePointSet(2, 1.0, points, pole, [sigma],
-                           [(2 - np.arange(8)) % 8])
+            SpherePointSet(points, [normal], [(2 - np.arange(8)) % 8])
 
     def test_plane_through_the_pole_rejected(self):
-        points, pole = self.grid_parts()
+        points = self.grid_parts()
         # The polar axis maps j to -j, a closed map, but its plane holds
         # the pole.
         with pytest.raises(ValueError, match="pole"):
-            SpherePointSet(2, 1.0, points, pole,
-                           [Reflection.from_vector([0.0, 1.0])],
-                           [(-np.arange(8)) % 8])
+            SpherePointSet(points, [[0.0, 1.0]], [(-np.arange(8)) % 8])
 
     def test_points_off_the_sphere_rejected(self):
-        points, pole = self.grid_parts()
+        points = self.grid_parts()
         with pytest.raises(ValueError, match="sphere"):
-            SpherePointSet(2, 1.0, 1.01 * points, pole, [], [])
+            SpherePointSet(1.01 * points, [], [])
 
 
 class TestRearrange:
@@ -183,15 +197,15 @@ class TestPolarize:
         g = circle_grid(24)
         rng = np.random.default_rng(6)
         f = rearrange(SphericalField(g, rng.uniform(0, 1, 24)))
-        for sigma in g.reflections:
-            np.testing.assert_array_equal(polarize(f, sigma).values, f.values)
+        for k in g.reflections:
+            np.testing.assert_array_equal(polarize(f, k).values, f.values)
 
     def test_preserves_weighted_sum_and_multiset(self):
         g = circle_grid(16)
         rng = np.random.default_rng(7)
         f = SphericalField(g, rng.uniform(0, 1, 16))
-        for sigma in g.reflections[::3]:
-            out = polarize(f, sigma)
+        for k in g.reflections[::3]:
+            out = polarize(f, k)
             assert float(g.weights @ out.values) == pytest.approx(
                 float(g.weights @ f.values), abs=1e-14)
             assert sorted(out.values) == sorted(f.values)
@@ -206,7 +220,8 @@ class TestPolarize:
 
     def test_larger_value_goes_to_the_pole_side(self):
         # Off its plane, a point p gets the larger value of its pair exactly
-        # when p.v > 0, v the mirror's normal, oriented toward the pole.
+        # when p.v > 0, v the mirror's normal, oriented toward the pole
+        # (v_1 > 0).
         rng = np.random.default_rng(21)
         sets = [circle_grid(m) for m in range(8, 130, 2)]
         sets += [sphere_sample(d, m, seed) for d in (3, 4, 6, 7)
@@ -214,32 +229,31 @@ class TestPolarize:
         for ps in sets:
             values = rng.uniform(0.0, 1.0, ps.size)
             f = SphericalField(ps, values)
-            for sigma in ps.reflections:
-                partner = ps.partner_indices(sigma)
+            for k, v in zip(ps.reflections, mirror_normals(ps)):
+                partner = ps.partners[k]
                 off = partner != np.arange(ps.size)
-                want = np.where(ps.points @ sigma.vector > 0.0,
+                want = np.where(ps.points @ v > 0.0,
                                 np.maximum(values, values[partner]),
                                 np.minimum(values, values[partner]))
                 np.testing.assert_array_equal(
-                    polarize(f, sigma).values[off], want[off])
+                    polarize(f, k).values[off], want[off])
 
     def test_normal_pointing_away_from_the_pole(self):
-        # A hand-built normal with v.pole < 0 still sends the larger value
-        # of each pair toward the pole.
-        points, pole = TestPointSetConstruction().grid_parts()
+        # A hand-built normal with v_1 < 0 still sends the larger value of
+        # each pair toward the pole.
+        points = TestPointSetConstruction().grid_parts()
         a = np.pi / 8
-        away = Reflection((-float(np.sin(a)), float(np.cos(a))))
-        ps = SpherePointSet(2, 1.0, points, pole, [away],
+        ps = SpherePointSet(points, [[-np.sin(a), np.cos(a)]],
                             [(1 - np.arange(8)) % 8])
-        out = polarize(SphericalField(ps, np.arange(8) == 1), away)
+        out = polarize(SphericalField(ps, np.arange(8) == 1), 0)
         np.testing.assert_array_equal(out.values, np.arange(8) == 0)
 
     def test_closure_required(self):
+        # A sample supports one mirror only.
         ps = sphere_sample(3, 100, seed=1)
-        other = Reflection.from_vector([0.3, 0.9, 0.1], ps.pole)
         f = SphericalField(ps, np.zeros(100))
         with pytest.raises(ValueError):
-            polarize(f, other)
+            polarize(f, 1)
 
 
 class TestKernelApply:
@@ -298,7 +312,7 @@ class TestKernelApply:
 
     def test_poisson_kernel_monotone(self):
         vals = KernelSpec.poisson(0.6, 3)._evaluate_owned(
-            np.linspace(-1, 1, 41), 1.0)
+            np.linspace(-1, 1, 41))
         assert np.all(np.diff(vals) > 0.0)
 
 
@@ -315,8 +329,8 @@ class TestFunctionalJ:
         f = SphericalField(g, rng.uniform(0, 1, 32))
         k = KernelSpec.poisson(0.4, 2)
         psi = PsiSpec.square()
-        for sigma in g.reflections[::5]:
-            partner = g.partner_indices(sigma)
+        for m in g.reflections[::5]:
+            partner = g.partners[m]
             reflected = SphericalField(g, f.values[partner])
             assert functional_J(psi, k, reflected) == pytest.approx(
                 functional_J(psi, k, f), abs=1e-12)
@@ -348,15 +362,15 @@ PSI_FOR_GRID32 = [
 
 class TestPolarizationInequality:
     @pytest.mark.parametrize("psi,rho", PSI_FOR_GRID32,
-                             ids=lambda v: str(getattr(v, "kind", v)))
+                             ids=psi_id)
     def test_monotone_for_all_reflections(self, psi, rho):
         g = circle_grid(32)
         rng = np.random.default_rng(11)
         kernel = KernelSpec.poisson(rho, 2)
         for _ in range(100):
             f = random_01_field(g, rng)
-            for sigma in g.reflections:
-                res = polarization_inequality_check(f, sigma, kernel, psi)
+            for k in g.reflections:
+                res = polarization_inequality_check(f, k, kernel, psi)
                 assert res["pass"]
 
     def test_already_polarized_is_equality(self):
@@ -365,9 +379,9 @@ class TestPolarizationInequality:
         kernel = KernelSpec.poisson(0.5, 2)
         psi = PsiSpec.square()
         f = random_01_field(g, rng)
-        sigma = g.reflections[10]
-        g1 = polarize(f, sigma)
-        res = polarization_inequality_check(g1, sigma, kernel, psi)
+        k = g.reflections[10]
+        g1 = polarize(f, k)
+        res = polarization_inequality_check(g1, k, kernel, psi)
         assert res["j_after"] == pytest.approx(res["j_before"], abs=1e-14)
 
     def test_pointwise_lemmas(self):
@@ -376,8 +390,8 @@ class TestPolarizationInequality:
         kernel = KernelSpec.poisson(0.7, 2)
         for _ in range(10):
             f = random_01_field(g, rng)
-            for sigma in g.reflections[::7]:
-                pw = polarization_pointwise_check(f, sigma, kernel)
+            for k in g.reflections[::7]:
+                pw = polarization_pointwise_check(f, k, kernel)
                 assert pw["max_sum_dev"] <= 1e-10
                 assert pw["min_diff_margin"] >= -1e-10
 
@@ -408,9 +422,9 @@ class TestPolarizationInequality:
             worst_j = worst_sum = worst_diff = 0.0
             for _ in range(trials):
                 f = random_01_field(g, rng)
-                for sigma in g.reflections:
-                    res = polarization_inequality_check(f, sigma, kernel, psi)
-                    pw = polarization_pointwise_check(f, sigma, kernel)
+                for k in g.reflections:
+                    res = polarization_inequality_check(f, k, kernel, psi)
+                    pw = polarization_pointwise_check(f, k, kernel)
                     worst_j = max(worst_j, res["j_before"] - res["j_after"])
                     worst_sum = max(worst_sum, pw["max_sum_dev"])
                     worst_diff = min(worst_diff, pw["min_diff_margin"])
@@ -537,19 +551,19 @@ class TestSphericalMI:
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def kernel_formula(kernel, inner, radius):
+def kernel_formula(kernel, inner):
     """The Poisson kernel at the inner products ``inner``, in one
     expression, as the stored kernel rows must hold it."""
     s = np.asarray(inner, dtype=float)
     rho, d = kernel.rho, kernel.dim
-    sq = radius ** 2 * (1.0 + rho ** 2) - 2.0 * rho * s
-    return (1.0 - rho ** 2) * radius ** d * sq ** (-d / 2.0)
+    sq = 1.0 + rho ** 2 - 2.0 * rho * s
+    return (1.0 - rho ** 2) * sq ** (-d / 2.0)
 
 
 def dense_kernel(kernel, ps):
     """The full M x M kernel matrix: one M x M inner-product matrix, then
     the kernel's formula."""
-    return kernel_formula(kernel, ps.points @ ps.points.T, ps.radius)
+    return kernel_formula(kernel, ps.points @ ps.points.T)
 
 
 def fixed_point_circle(m=16):
@@ -557,10 +571,8 @@ def fixed_point_circle(m=16):
     maps j to 2 - j and fixes points 1 and 1 + M/2."""
     theta = 2 * np.pi * np.arange(m) / m
     points = np.column_stack([np.cos(theta), np.sin(theta)])
-    pole = np.array([1.0, 0.0])
     phi = 2 * np.pi / m
-    sigma = Reflection.from_vector([np.sin(phi), -np.cos(phi)], pole)
-    return SpherePointSet(2, 1.0, points, pole, [sigma],
+    return SpherePointSet(points, [[np.sin(phi), -np.cos(phi)]],
                           [(2 - np.arange(m)) % m])
 
 
@@ -587,7 +599,7 @@ class TestHalfKernel:
         ps = build()
         rng = np.random.default_rng(31)
         rows = np.flatnonzero(
-            np.arange(ps.size) <= ps.partner_indices(ps.reflections[0]))
+            np.arange(ps.size) <= ps.partners[0])
         kernel = KernelSpec.poisson(rho, ps.n)
         dense = dense_kernel(kernel, ps)
         assert np.max(np.abs(ps.kernel_matrix(kernel) - dense[rows])) \
@@ -612,7 +624,7 @@ class TestHalfKernel:
         kernel = KernelSpec.poisson(rho, ps.n)
         tol = 1e-15 + ps.n * rho / (1.0 - rho) ** 2 * ps.n * 2.0 ** -52
         rows = np.flatnonzero(
-            np.arange(ps.size) <= ps.partner_indices(ps.reflections[0]))
+            np.arange(ps.size) <= ps.partners[0])
         dense = dense_kernel(kernel, ps)
         np.testing.assert_allclose(ps.kernel_matrix(kernel), dense[rows],
                                    rtol=tol, atol=0.0)
@@ -637,12 +649,10 @@ class TestHalfKernel:
         theta = 2 * np.pi * np.arange(8) / 8
         points = np.column_stack([np.cos(theta), np.sin(theta)])
         points = np.vstack([points, points[:1]])
-        pole = np.array([1.0, 0.0])
-        sigma = Reflection.from_vector(
-            [np.sin(np.pi / 8), -np.cos(np.pi / 8)], pole)
+        normal = [np.sin(np.pi / 8), -np.cos(np.pi / 8)]
         partner = np.append((1 - np.arange(8)) % 8, 1)
         with pytest.raises(ValueError, match="involution"):
-            SpherePointSet(2, 1.0, points, pole, [sigma], [partner])
+            SpherePointSet(points, [normal], [partner])
 
 
 class TestKernelEvaluate:
@@ -650,19 +660,17 @@ class TestKernelEvaluate:
         KernelSpec.poisson(0.0, 3), KernelSpec.poisson(0.3, 2),
         KernelSpec.poisson(0.7, 4), KernelSpec.poisson(0.5, 7)],
         ids=lambda k: f"poisson-{k.rho}-{k.dim}")
-    @pytest.mark.parametrize("radius", [1.0, 2.5])
-    def test_bit_equal_and_input_untouched(self, kernel, radius):
+    def test_bit_equal_and_input_untouched(self, kernel):
         # The stored rows are the formula at the points' inner products,
         # bit for bit, and building them leaves the points as they were.
         rng = np.random.default_rng(34)
         points = rng.standard_normal((11, kernel.dim))
-        points *= radius / np.linalg.norm(points, axis=1, keepdims=True)
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
         kept = points.copy()
-        ps = SpherePointSet(kernel.dim, radius, points, points[0], [], [])
+        ps = SpherePointSet(points, [], [])
         got = ps.kernel_matrix(kernel)
         assert np.array_equal(ps.points, kept)
-        assert np.array_equal(got, kernel_formula(kernel, kept @ kept.T,
-                                                  radius))
+        assert np.array_equal(got, kernel_formula(kernel, kept @ kept.T))
 
 
 class TestMcCap:
@@ -684,7 +692,7 @@ class TestMcCap:
 
         def boom(*args):
             raise AssertionError("grid built")
-        monkeypatch.setattr(sphere_mod.Reflection, "from_vector", boom)
+        monkeypatch.setattr(sphere_mod, "SpherePointSet", boom)
         # 5793 x 5794 map entries exceed 2^25; 5791 x 5792 do not.
         for m in (5794, 100_000):
             with pytest.raises(ValueError, match="MC_MAX_ENTRIES"):
