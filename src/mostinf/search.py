@@ -14,18 +14,25 @@ checkpoint at every n: n <= 4 takes milliseconds in one chunk, n = 5
 (2^31 representatives) one to a few minutes.
 
 The scan sends only some tables through the kernel.  Split a table f on
-its top coordinate into f0 (the low 2^(n-1) bits) and f1 (the high bits).
-Then T_rho f(b, y') = (1 - alpha) T_rho f_b(y') + alpha T_rho f_(1-b)(y'),
-and h is concave, so E h(T_rho f) >= (H(f0) + H(f1)) / 2 with
-H(g) = E h(T_rho g) on n - 1 bits.  Hence
+a coordinate i into f0 and f1, its restrictions to x_i = 0 and x_i = 1 as
+(n - 1)-bit tables.  Then T_rho f(b, y') = (1 - alpha) T_rho f_b(y')
++ alpha T_rho f_(1-b)(y') at every point y' of the other coordinates, and h
+is concave, so E h(T_rho f) >= (H(f0) + H(f1)) / 2 with H(g) = E h(T_rho g)
+on n - 1 bits.  Hence, for every coordinate i,
 
-    I(f) <= U(f0, f1) = h((|f0| + |f1|) / 2^n) - (H(f0) + H(f1)) / 2.
+    I(f) <= U_i(f) = h((|f0| + |f1|) / 2^n) - (H(f0) + H(f1)) / 2.
 
-A table whose U lies more than ``PRUNE_SLACK`` (1e-9) below the running
-maximum is skipped.  The float error of U and of the kernel is about
-1e-16, far below PRUNE_SLACK - 2 ``TIE_TOL``, so a skipped table is neither
-the maximum nor a near-tie of it: ``max_mi``, the witnesses and every
-checkpoint are the numbers a scan of every table gives.
+H(g) does not change when the coordinates of g are permuted, so one table
+of H over all (n - 1)-bit halves serves every i, read through any fixed
+order of the other coordinates that both halves share.  The scan first
+computes U_(n-1), the split into the low 2^(n-1) bits and the high bits of
+the table integer, for every table, and then U_(n-2), ..., U_0 for the
+tables still left.  A table whose U_i lies more than ``PRUNE_SLACK``
+(1e-9) below the running maximum, for some i, is skipped.  The float error
+of each U_i and of the kernel is about 1e-16, far below PRUNE_SLACK
+- 2 ``TIE_TOL``, so a skipped table is neither the maximum nor a near-tie
+of it: ``max_mi``, the witnesses and every checkpoint are the numbers a
+scan of every table gives.
 """
 
 from __future__ import annotations
@@ -159,41 +166,111 @@ KERNEL_BLOCK = 1 << 14  # rows per kernel call
 
 @functools.lru_cache(maxsize=CACHED_ALPHAS)
 def _half_bounds(n: int, alpha: float) -> tuple[np.ndarray, ...]:
-    """The terms of the half-split bound U for n-bit tables: the ones count
-    and H(g) = E h(T_rho g) of every (n - 1)-bit half g, indexed by its
-    table integer, and h(k / 2^n) for k = 0..2^n."""
+    """The terms of the split bound U for n-bit tables: the ones count and
+    H(g) = E h(T_rho g) of every (n - 1)-bit half g, indexed by its table
+    integer, and h(k / 2^n) for k = 0..2^n.
+
+    Only the halves below 2^(2^(n-1) - 1) go through the kernel: the rest
+    are their complements, whose entropies the kernel reads bit-identical.
+    """
     half = 1 << (n - 1)
-    ints = np.arange(1 << half, dtype=np.int64)
-    blocks = [_kernel_terms(_bits_matrix(ints[lo:lo + KERNEL_BLOCK], half),
-                            alpha)
-              for lo in range(0, ints.size, KERNEL_BLOCK)]
-    out = tuple(np.concatenate(terms) for terms in zip(*blocks)) \
-        + (binary_entropy(np.arange(2 * half + 1) / (2 * half)),)
+    ints = np.arange(1 << (half - 1), dtype=np.int64)
+    ones, ent = (np.concatenate(terms) for terms in zip(*(
+        _kernel_terms(_bits_matrix(ints[lo:lo + KERNEL_BLOCK], half), alpha)
+        for lo in range(0, ints.size, KERNEL_BLOCK))))
+    # Half g >= 2^(half - 1) is the complement of 2^half - 1 - g.
+    out = (np.concatenate((ones, half - ones[::-1])),
+           np.concatenate((ent, ent[::-1])),
+           binary_entropy(np.arange(2 * half + 1) / (2 * half)))
     for a in out:
         a.flags.writeable = False
     return out
 
 
-def _pruned_mi(reps: np.ndarray, n: int, alpha: float,
-               best: float) -> np.ndarray:
-    """MI of the tables ``reps``, or -inf where the half-split bound U puts
-    a table more than PRUNE_SLACK below ``best`` or below the best of the
-    PRUNE_PROBE tables of greatest U, which are evaluated first."""
-    size = 1 << n
+@functools.lru_cache(maxsize=MAX_KERNEL_N)
+def _coordinate_movers(n: int) -> tuple[np.ndarray, ...]:
+    """For each coordinate i = n - 2, ..., 0, the bit permutation of n-bit
+    table integers that makes coordinate i the top one and keeps the order
+    of the others, as a lookup over words of min(2^n, 16) table bits (see
+    ``_moved``)."""
+    word = min(1 << n, 16)
+    j = np.arange(word)
+    bits = np.arange(256)[:, None] >> np.arange(8) & 1
+    movers = []
+    for i in range(n - 2, -1, -1):
+        # Table bit j goes to j with bit i deleted, plus 2^(n-1) if it was set.
+        dest = (j >> (i + 1) << i | j & ((1 << i) - 1)
+                | (j >> i & 1) << (n - 1))
+        lut = np.zeros(1, dtype=np.int64)
+        for k in range(0, word, 8):  # one byte of the word at a time
+            part = dest[k:k + 8]
+            lut = ((bits[:, :part.size] << part).sum(axis=1)[:, None]
+                   | lut).ravel()
+        lut.flags.writeable = False
+        movers.append(lut)
+    return tuple(movers)
+
+
+def _moved(tables: np.ndarray, lut: np.ndarray, n: int) -> np.ndarray:
+    """The tables under one ``_coordinate_movers`` permutation.  An n = 5
+    table is two 16-bit words, one for each value of coordinate 4; each
+    word's two halves land 8 bits apart."""
+    if n < 5:
+        return np.take(lut, tables)
+    return np.take(lut, tables & 0xFFFF) | np.take(lut, tables >> 16) << 8
+
+
+def _pruned_mi(lo: int, hi: int, n: int, alpha: float,
+               best: float) -> tuple[np.ndarray, np.ndarray]:
+    """The even tables 2 lo, 2 lo + 2, ..., 2 hi - 2 that the kernel
+    evaluated, ascending, and their MI.
+
+    A table is skipped when a split bound U_i puts it more than
+    PRUNE_SLACK below the cut.  U_(n-1), the top split, is computed for
+    every table first.  Of the tables whose U_(n-1) reaches ``best`` less
+    the slack, the PRUNE_PROBE of greatest U_(n-1) are evaluated, and the
+    cut is the greater of ``best`` and their best MI.  The other tables
+    then need U_(n-1) and U_(n-2), ..., U_0 in turn to reach the cut less
+    the slack."""
+    size, half = 1 << n, 1 << (n - 1)
     ones, ent, h_total = _half_bounds(n, alpha)
-    f0, f1 = reps & ((1 << (size >> 1)) - 1), reps >> (size >> 1)
-    bound = h_total[ones[f0] + ones[f1]] - 0.5 * (ent[f0] + ent[f1])
-    mi = np.full(reps.size, -np.inf)
-    probe = np.argpartition(bound, -PRUNE_PROBE)[-PRUNE_PROBE:] \
-        if reps.size > PRUNE_PROBE else np.arange(reps.size)
-    mi[probe] = _batched_mi(_bits_matrix(reps[probe], size), alpha)
-    todo = bound >= max(best, float(np.max(mi[probe]))) - PRUNE_SLACK
-    todo[probe] = False
-    rest = np.flatnonzero(todo)
-    for lo in range(0, rest.size, KERNEL_BLOCK):
-        rows = rest[lo:lo + KERNEL_BLOCK]
-        mi[rows] = _batched_mi(_bits_matrix(reps[rows], size), alpha)
-    return mi
+    # Table 2 p has the high half p // width and the low half 2 (p % width),
+    # so the top split's terms of the range are a slice of a grid with one
+    # row per high half and one column per even low half.
+    width = 1 << (half - 1)
+    r0, r1 = lo // width, (hi - 1) // width + 1
+    c0, c1 = (lo - r0 * width, hi - r0 * width) if r1 - r0 == 1 \
+        else (0, width)
+    f1, f0 = np.arange(r0, r1)[:, None], slice(2 * c0, 2 * c1, 2)
+    # h(|f| / 2^n), the first term of every U_i.
+    h_mean = np.take(h_total, ones[f0] + ones[f1])
+    bound = h_mean - 0.5 * (ent[f0] + ent[f1])
+    start = lo - r0 * width - c0
+    h_mean, bound = (a.ravel()[start:start + hi - lo] for a in (h_mean, bound))
+    rest = np.flatnonzero(bound >= best - PRUNE_SLACK)
+    if not rest.size:
+        return 2 * (lo + rest), np.empty(0)
+    later = np.full(rest.size, rest.size > PRUNE_PROBE)
+    if rest.size > PRUNE_PROBE:
+        top = np.argpartition(bound[rest], -PRUNE_PROBE)[-PRUNE_PROBE:]
+        later[top] = False
+    probe = rest[~later]
+    probe_mi = _batched_mi(_bits_matrix(2 * (lo + probe), size), alpha)
+    cut = max(best, float(np.max(probe_mi))) - PRUNE_SLACK
+    rest = rest[later & (bound[rest] >= cut)]
+    for lut in _coordinate_movers(n):
+        if not rest.size:
+            break
+        moved = _moved(2 * (lo + rest), lut, n)
+        g0, g1 = moved & ((1 << half) - 1), moved >> half
+        rest = rest[h_mean[rest] - 0.5 * (np.take(ent, g0) + np.take(ent, g1))
+                    >= cut]
+    tables = 2 * (lo + np.concatenate((probe, rest)))
+    mi = np.concatenate([probe_mi] + [
+        _batched_mi(_bits_matrix(tables[k:k + KERNEL_BLOCK], size), alpha)
+        for k in range(probe.size, tables.size, KERNEL_BLOCK)])
+    order = np.argsort(tables)
+    return tables[order], mi[order]
 
 
 def _scan_report(n: int, alpha: float, max_mi: float, argmax: list[int],
@@ -370,13 +447,17 @@ def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
     ETA, share of tables evaluated) to stderr at most every
     ``PROGRESS_EVERY_S`` s and when it ends.
 
-    The kernel evaluates only the tables whose half-split bound
-    I(f) <= U(f0, f1) = h((|f0| + |f1|) / 2^n) - (H(f0) + H(f1)) / 2 (see
-    the module docstring) reaches the running maximum less PRUNE_SLACK =
-    1e-9; the others read -inf.  PRUNE_SLACK exceeds 2 ``TIE_TOL`` by far
-    more than the float error (about 1e-16), so no skipped table could have
-    been the maximum or one of its near-ties, and the report and checkpoint
-    are those of a scan of every table.
+    The kernel evaluates only the tables whose split bounds
+    I(f) <= U_i(f) = h((|f0| + |f1|) / 2^n) - (H(f0) + H(f1)) / 2 all reach
+    the running maximum less PRUNE_SLACK = 1e-9, where f0 and f1 are f
+    restricted to x_i = 0 and x_i = 1 (see the module docstring); the
+    others are skipped.  The bound holds for a split on any coordinate i,
+    because h is concave and the noise acts on each coordinate alone, and
+    one table of H(g) serves every i, because H is invariant under
+    permutations of g's coordinates.  PRUNE_SLACK exceeds 2 ``TIE_TOL`` by
+    far more than the float error (about 1e-16), so no skipped table could
+    have been the maximum or one of its near-ties, and the report and
+    checkpoint are those of a scan of every table.
     """
     if not 2 <= n <= MAX_KERNEL_N:
         raise ValueError(f"full scan supports 2 <= n <= {MAX_KERNEL_N}, "
@@ -403,14 +484,13 @@ def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
     mark, rate = (time.monotonic(), first), 0.0
     for lo in range(first, end, chunk_size):
         hi = min(lo + chunk_size, end)
-        reps = np.arange(lo, hi, dtype=np.int64) << 1  # even table ints
-        mi = _pruned_mi(reps, n, alpha, state["max_mi"])
-        evaluated += int(np.count_nonzero(np.isfinite(mi)))
-        chunk_max = float(np.max(mi))
+        tables, mi = _pruned_mi(lo, hi, n, alpha, state["max_mi"])
+        evaluated += tables.size
+        chunk_max = float(np.max(mi, initial=-np.inf))
         if chunk_max > state["max_mi"] + TIE_TOL:
             state["max_mi"] = chunk_max
             state["witnesses"] = []
-        hits = reps[mi >= state["max_mi"] - TIE_TOL]
+        hits = tables[mi >= state["max_mi"] - TIE_TOL]
         # The least hits and the complements of the greatest ones.
         near = np.concatenate((hits[:ARGMAX_CAP], hits[-ARGMAX_CAP:] ^ full))
         state["witnesses"] = sorted(

@@ -50,13 +50,19 @@ def all_tables(n):
     return _bits_matrix(np.arange(1 << size, dtype=np.int64), size)
 
 
-def half_split_bound(table_ints, n, alpha):
-    """U(f0, f1) = h((|f0| + |f1|) / 2^n) - (H(f0) + H(f1)) / 2, where f0
-    holds the low 2^(n-1) bits of each table integer and f1 the high ones."""
-    half = 1 << (n - 1)
-    low = _bits_matrix(table_ints & ((1 << half) - 1), half)
-    high = _bits_matrix(table_ints >> half, half)
-    mean = (low.sum(axis=-1) + high.sum(axis=-1)) / (2 * half)
+def split_halves(table_ints, n, i):
+    """0/1 rows of f0 and f1, the tables restricted to x_i = 0 and x_i = 1:
+    the columns j with bit i of j clear, and set, in increasing order."""
+    bits = _bits_matrix(table_ints, 1 << n)
+    side = np.arange(1 << n) >> i & 1
+    return bits[:, side == 0], bits[:, side == 1]
+
+
+def split_bound(table_ints, n, alpha, i):
+    """U_i(f) = h((|f0| + |f1|) / 2^n) - (H(f0) + H(f1)) / 2 of the split
+    of each table on coordinate i."""
+    low, high = split_halves(table_ints, n, i)
+    mean = (low.sum(axis=-1) + high.sum(axis=-1)) / (1 << n)
     return binary_entropy(mean) - 0.5 * (fwht_smoothed_entropy(low, alpha)
                                          + fwht_smoothed_entropy(high, alpha))
 
@@ -243,22 +249,57 @@ class TestExhaustiveVerify:
 
 
 class TestHalfSplitBound:
-    # h is concave and T f(b, y') = (1 - alpha) T f_b(y') + alpha T f_(1-b)(y'),
-    # so E h(T f) >= (H(f0) + H(f1)) / 2 and I(f) <= U(f0, f1).
+    # For a split on any coordinate i, h is concave and
+    # T f(b, y') = (1 - alpha) T f_b(y') + alpha T f_(1-b)(y'), so
+    # E h(T f) >= (H(f0) + H(f1)) / 2 and I(f) <= U_i(f).
     ALPHAS = [0.0, 0.1, 0.37, 0.5]
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_bound_holds_on_every_n4_table(self, alpha):
         ints = np.arange(1 << 16, dtype=np.int64)
         mi = _batched_mi(_bits_matrix(ints, 16), alpha)
-        assert np.all(mi <= half_split_bound(ints, 4, alpha) + 1e-14)
+        for i in range(4):
+            assert np.all(mi <= split_bound(ints, 4, alpha, i) + 1e-14), i
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_bound_holds_on_sampled_n5_tables(self, alpha):
         rng = np.random.default_rng(31)
         ints = rng.integers(0, 1 << 32, 1 << 16, dtype=np.int64)
         mi = _batched_mi(_bits_matrix(ints, 32), alpha)
-        assert np.all(mi <= half_split_bound(ints, 5, alpha) + 1e-14)
+        for i in range(5):
+            assert np.all(mi <= split_bound(ints, 5, alpha, i) + 1e-14), i
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_complement_fill_equals_a_full_build(self, n):
+        half = 1 << (n - 1)
+        tables = _bits_matrix(np.arange(1 << half, dtype=np.int64), half)
+        for alpha in (0.0, 0.05, 0.1, 0.3, 0.37, 0.45, 0.5):
+            ones, ent, _ = search._half_bounds(n, alpha)
+            want_ones, want_ent = search._kernel_terms(tables, alpha)
+            assert np.array_equal(ones, want_ones), alpha
+            assert np.array_equal(ent, want_ent), alpha
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_coordinate_halves_match_the_reference(self, n):
+        # Moving coordinate i to the top keeps the order of the others, so
+        # the moved table's low and high halves are f0 and f1 of the split
+        # on i, and the scan's terms read their ones counts and H.
+        half = 1 << (n - 1)
+        ints = np.arange(1 << (1 << n), dtype=np.int64) if n < 5 else \
+            np.random.default_rng(32).integers(0, 1 << 32, 1 << 12,
+                                               dtype=np.int64)
+        movers = search._coordinate_movers(n)
+        assert len(movers) == n - 1
+        for i, lut in zip(range(n - 2, -1, -1), movers):
+            moved = search._moved(ints, lut, n)
+            for g, want in zip((moved & ((1 << half) - 1), moved >> half),
+                               split_halves(ints, n, i)):
+                assert np.array_equal(_bits_matrix(g, half), want), i
+                for alpha in self.ALPHAS:
+                    ones, ent, _ = search._half_bounds(n, alpha)
+                    assert np.array_equal(ones[g], want.sum(axis=1))
+                    assert np.max(np.abs(
+                        ent[g] - fwht_smoothed_entropy(want, alpha))) <= 1e-14
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_scan_terms_match_the_reference(self, n):
@@ -324,6 +365,24 @@ class TestPrunedScan:
         assert report.max_mi == want["max_mi"]
         assert report.functions_scanned == 2 * (lo + 3 * chunk_size)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.1, 0.37, 0.49, 0.5])
+    def test_n4_scan_equals_the_oracle(self, tmp_path, alpha):
+        # n = 4 has three coordinates below the top one to filter on.
+        start = {"n": 4, "alpha": alpha, "next": 0, "max_mi": -1.0,
+                 "witnesses": [], "scanned": 0}
+        ckpt = tmp_path / "one.json"
+        report = exhaustive_verify(4, alpha, checkpoint=str(ckpt))
+        want = unpruned_scan(4, alpha, start, 1 << 15, 1)
+        assert json.loads(ckpt.read_text()) == want
+        assert report.max_mi == want["max_mi"]
+        ckpt = tmp_path / "chunked.json"
+        state = start
+        for _ in range(2):  # 32 chunks of 1024, 16 per call
+            exhaustive_verify(4, alpha, checkpoint=str(ckpt),
+                              chunk_size=1024, max_chunks=16)
+            state = unpruned_scan(4, alpha, state, 1024, 16)
+            assert json.loads(ckpt.read_text()) == state
+
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.45])
     def test_near_tie_below_a_stored_maximum_is_kept(self, tmp_path, alpha):
         # The dictator 0xAAAAAAAA has equal halves, so its U equals its MI
@@ -346,6 +405,19 @@ class TestPrunedScan:
         rows = count_kernel_rows(monkeypatch)
         exhaustive_verify(4, 0.1)
         assert 0 < rows[0] <= 4096  # of 32,768 even tables
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
+    def test_kernel_sees_only_tables_every_bound_keeps(self, monkeypatch,
+                                                       alpha):
+        # One n = 4 chunk: after the probe, a table reaches the kernel only
+        # if U_i reaches the cut on every coordinate i.
+        rows = count_kernel_rows(monkeypatch)
+        report = exhaustive_verify(4, alpha)
+        ints = np.arange(0, 1 << 16, 2, dtype=np.int64)
+        least = np.min([split_bound(ints, 4, alpha, i) for i in range(4)],
+                       axis=0)
+        kept = least >= report.max_mi - search.PRUNE_SLACK - 1e-12
+        assert rows[0] <= search.PRUNE_PROBE + np.count_nonzero(kept)
 
     def test_kernel_sees_every_row_at_half(self, monkeypatch):
         # At alpha = 1/2, T f is constant and U >= 0 = I by concavity.
@@ -607,9 +679,9 @@ class TestScanN5:
         clock = [0.0]
         pruned = search._pruned_mi
 
-        def timed(reps, *args):
-            clock[0] += 8.0 if reps[0] == 0 else 0.125
-            return pruned(reps, *args)
+        def timed(lo, *args):
+            clock[0] += 8.0 if lo == 0 else 0.125
+            return pruned(lo, *args)
         monkeypatch.setattr(search, "_pruned_mi", timed)
         monkeypatch.setattr(search, "time",
                             types.SimpleNamespace(monotonic=lambda: clock[0]))

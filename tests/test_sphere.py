@@ -690,9 +690,12 @@ class TestMcCap:
     def test_oversized_grid_rejected_before_building(self, monkeypatch):
         import mostinf.sphere as sphere_mod
 
-        def boom(*args):
-            raise AssertionError("grid built")
-        monkeypatch.setattr(sphere_mod, "SpherePointSet", boom)
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError("grid built")
+        # Any use of numpy in the sphere module raises, so the grid's
+        # points and maps cannot be built before the cap check.
+        monkeypatch.setattr(sphere_mod, "np", NoArrays())
         # 5793 x 5794 map entries exceed 2^25; 5791 x 5792 do not.
         for m in (5794, 100_000):
             with pytest.raises(ValueError, match="MC_MAX_ENTRIES"):
