@@ -20,7 +20,6 @@ import string
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .entropy import binary_entropy, phi_entropy
 
@@ -419,6 +418,8 @@ def and_mi_simple_form(k: int, alpha: float) -> float:
 
 
 def _log_binom(n: int, k) -> np.ndarray:
+    from scipy.special import gammaln
+
     k = np.asarray(k, dtype=float)
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 

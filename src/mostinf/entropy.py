@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "binary_entropy",
@@ -93,6 +92,8 @@ def normal_pdf(z: float) -> float:
 
 def normal_quantile(p: float) -> float:
     """Inverse of :func:`normal_cdf`: scipy's ``ndtri``, to a few ulps."""
+    from scipy.special import ndtri
+
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"normal_quantile: p must be in (0, 1), got {p!r}")

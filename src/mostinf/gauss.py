@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .entropy import binary_entropy, normal_cdf, normal_pdf, normal_quantile
 
@@ -146,6 +145,8 @@ def ou_apply(f: GaussianSetSpec, rho: float, x1: float) -> float:
 
 def _ou_expectation(g, f: GaussianSetSpec, rho: float):
     """quad's (value, error) of E_x[g(U_rho f(x))], for a checked rho."""
+    from scipy.integrate import quad
+
     return quad(lambda s: g(ou_apply(f, rho, s)) * normal_pdf(s),
                 -_QUAD_LIMIT, _QUAD_LIMIT, epsabs=1e-11, epsrel=1e-10,
                 limit=200)
@@ -378,6 +379,8 @@ def poisson_factor_mass_quad(d: int, r: float) -> tuple[float, float]:
     """The factor's mass (exactly 1) and quad's error estimate, by the polar
     angle t to w: |S^(d-2)|/|S^(d-1)| int_0^pi (1-r^2)/D (sin^2 t/D)^((d-2)/2)
     dt, D = 1 + r^2 - 2r cos t, a form in which no power of D underflows."""
+    from scipy.integrate import quad
+
     ratio = math.exp(log_sphere_area(d - 1) - log_sphere_area(d))
     r = _check_rho(r, "residual correlation")
 

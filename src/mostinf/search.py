@@ -145,11 +145,19 @@ def _kernel_terms(tables: np.ndarray,
     return codes[..., -1], np.mean(H[codes[..., :-1]], axis=-1)
 
 
+@functools.lru_cache(maxsize=MAX_KERNEL_N)
+def _mean_entropy(size: int) -> np.ndarray:
+    """h(k / size) for k = 0..size, the entropy of every ones count."""
+    out = binary_entropy(np.arange(size + 1) / size)
+    out.flags.writeable = False
+    return out
+
+
 def _batched_mi(tables: np.ndarray, alpha: float) -> np.ndarray:
     """Mutual information of many 0/1 tables at once; rows are tables: the
     Jensen gap h(E f) - E_y h(T_rho f(y))."""
     ones, smoothed = _kernel_terms(tables, alpha)
-    return binary_entropy(ones / tables.shape[-1]) - smoothed
+    return np.take(_mean_entropy(tables.shape[-1]), ones) - smoothed
 
 
 def _bits_matrix(table_ints: np.ndarray, size: int) -> np.ndarray:
@@ -166,9 +174,9 @@ KERNEL_BLOCK = 1 << 14  # rows per kernel call
 
 @functools.lru_cache(maxsize=CACHED_ALPHAS)
 def _half_bounds(n: int, alpha: float) -> tuple[np.ndarray, ...]:
-    """The terms of the split bound U for n-bit tables: the ones count and
-    H(g) = E h(T_rho g) of every (n - 1)-bit half g, indexed by its table
-    integer, and h(k / 2^n) for k = 0..2^n.
+    """The terms of the split bound U for n-bit tables that depend on
+    alpha: the ones count and H(g) = E h(T_rho g) of every (n - 1)-bit half
+    g, indexed by its table integer.
 
     Only the halves below 2^(2^(n-1) - 1) go through the kernel: the rest
     are their complements, whose entropies the kernel reads bit-identical.
@@ -180,8 +188,7 @@ def _half_bounds(n: int, alpha: float) -> tuple[np.ndarray, ...]:
         for lo in range(0, ints.size, KERNEL_BLOCK))))
     # Half g >= 2^(half - 1) is the complement of 2^half - 1 - g.
     out = (np.concatenate((ones, half - ones[::-1])),
-           np.concatenate((ent, ent[::-1])),
-           binary_entropy(np.arange(2 * half + 1) / (2 * half)))
+           np.concatenate((ent, ent[::-1])))
     for a in out:
         a.flags.writeable = False
     return out
@@ -233,7 +240,7 @@ def _pruned_mi(lo: int, hi: int, n: int, alpha: float,
     then need U_(n-1) and U_(n-2), ..., U_0 in turn to reach the cut less
     the slack."""
     size, half = 1 << n, 1 << (n - 1)
-    ones, ent, h_total = _half_bounds(n, alpha)
+    ones, ent = _half_bounds(n, alpha)
     # Table 2 p has the high half p // width and the low half 2 (p % width),
     # so the top split's terms of the range are a slice of a grid with one
     # row per high half and one column per even low half.
@@ -243,7 +250,7 @@ def _pruned_mi(lo: int, hi: int, n: int, alpha: float,
         else (0, width)
     f1, f0 = np.arange(r0, r1)[:, None], slice(2 * c0, 2 * c1, 2)
     # h(|f| / 2^n), the first term of every U_i.
-    h_mean = np.take(h_total, ones[f0] + ones[f1])
+    h_mean = np.take(_mean_entropy(size), ones[f0] + ones[f1])
     bound = h_mean - 0.5 * (ent[f0] + ent[f1])
     start = lo - r0 * width - c0
     h_mean, bound = (a.ravel()[start:start + hi - lo] for a in (h_mean, bound))

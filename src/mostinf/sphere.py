@@ -93,6 +93,7 @@ class SpherePointSet:
         rows = np.flatnonzero(ident <= first)
         self._half = (rows, first[rows], first)     # R, P[R], P
         self._kernel_cache: dict = {}
+        self._pole_sides: dict = {}
 
     @property
     def size(self) -> int:
@@ -221,11 +222,16 @@ def rearrange(f: SphericalField) -> SphericalField:
 def _polarized(ps: SpherePointSet, values: np.ndarray, k) -> np.ndarray:
     """``polarize`` of the fields ``values`` (..., M) across mirror k, or of
     one field (M,) across each of the mirrors k (B,) as (B, M).  A point is
-    on the pole's side exactly when it is higher than its mirror image."""
+    on the pole's side exactly when it is higher than its mirror image; a
+    lone mirror's sides are cached on first use, a stack's are not."""
     partner = ps.partners[k].astype(np.intp)
+    if not isinstance(k, int):
+        side = ps._height > ps._height[partner]
+    elif (side := ps._pole_sides.get(k)) is None:
+        side = ps._pole_sides[k] = ps._height > ps._height[partner]
     mirrored = values[..., partner]
-    return np.where(ps._height > ps._height[partner],
-                    np.maximum(values, mirrored), np.minimum(values, mirrored))
+    return np.where(side, np.maximum(values, mirrored),
+                    np.minimum(values, mirrored))
 
 
 def _smoothed(kernel: KernelSpec, ps: SpherePointSet,

@@ -2,7 +2,10 @@
 
 import ast
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -516,6 +519,88 @@ def test_cli_stays_thin():
                 (node.module or "").split(".")[-1] in layers:
             private = [a.name for a in node.names if a.name.startswith("_")]
             assert not private, private
+
+
+def _scipy_imports(tree):
+    """(innermost enclosing function or None, node) of each import of
+    scipy in a module."""
+    stack = [(tree, None)]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "scipy" for m in modules):
+            yield func, node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+
+
+def test_scipy_loads_only_where_it_is_called():
+    """No module of the package imports scipy at module level, and each
+    scipy import sits inside a function that calls what it imports: a
+    fresh process then loads numpy alone until a command needs scipy."""
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for func, node in _scipy_imports(ast.parse(path.read_text())):
+            where = f"{path.name}:{node.lineno}"
+            assert func is not None, f"{where} imports scipy at module level"
+            called = set()
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call):
+                    root = call.func
+                    while isinstance(root, ast.Attribute):
+                        root = root.value
+                    called.add(getattr(root, "id", None))
+            bound = {alias.asname or alias.name.split(".")[0]
+                     for alias in node.names}
+            assert bound <= called, f"{where}: {func.name} never calls " \
+                f"{sorted(bound - called)}"
+
+
+# Runs each argument list of argv[1] (JSON) through cli.main in one fresh
+# process and prints, for each, its exit code and whether scipy is loaded.
+_SCIPY_PROBE = """
+import io, json, sys
+from mostinf import cli
+seen = []
+for argv in json.loads(sys.argv[1]):
+    stdout, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())
+    code = cli.main(argv)
+    sys.stdout = stdout
+    seen.append([code, "scipy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_scan_and_sphere_commands_never_load_scipy(tmp_path):
+    """In a fresh process the scans and the sphere commands run without
+    loading scipy; the first command that calls it loads it."""
+    ckpt = str(tmp_path / "n5.json")
+    runs = [["boolean", "verify", "--n", "3", "--alpha", "0.1",
+             "--format", "csv"],
+            ["boolean", "verify", "--n", "4", "--alpha", "0.1"],
+            ["boolean", "verify", "--n", "5", "--alpha", "0.3",
+             "--checkpoint", ckpt, "--chunk", "4096", "--max-chunks", "1"],
+            ["sphere", "mc", "--dim", "3", "--points", "200"],
+            ["sphere", "polarize-check", "--grid", "16", "--rho", "0.5",
+             "--trials", "2"],
+            ["sphere", "rearrange", "--grid", "16", "--rho", "0.5",
+             "--steps", "20"],
+            ["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.6"]]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                           json.dumps(runs)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert [code for code, _ in seen] == [0] * len(runs)
+    assert [loaded for _, loaded in seen] == [False] * (len(runs) - 1) \
+        + [True]
+    assert Path(ckpt).exists()
 
 
 LAYERS = ("cube", "search", "sphere", "gauss", "entropy")

@@ -150,6 +150,25 @@ class TestCountVectorKernel:
         for alpha in self.ALPHAS:
             assert np.all(_batched_mi(const, alpha) == 0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_mean_entropy_table_is_bit_equal(self, n):
+        size = 1 << n
+        want = binary_entropy(np.arange(size + 1) / size)
+        got = search._mean_entropy(size)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_mean_term_read_from_the_table(self):
+        # The looked-up h(|f| / 2^n) gives the MI of the direct entropy
+        # call bit for bit, at every n and on the probe's 64-row shape.
+        rng = np.random.default_rng(23)
+        for n in range(1, 6):
+            size = 1 << n
+            tables = rng.integers(0, 2, (64, size), dtype=np.uint8)
+            for alpha in self.ALPHAS:
+                ones, smoothed = search._kernel_terms(tables, alpha)
+                want = binary_entropy(ones / size) - smoothed
+                assert np.array_equal(_batched_mi(tables, alpha), want), n
+
     def test_rejects_more_than_five_bits(self):
         with pytest.raises(ValueError):
             _batched_mi(np.zeros((2, 64), dtype=np.uint8), 0.1)
@@ -274,7 +293,7 @@ class TestHalfSplitBound:
         half = 1 << (n - 1)
         tables = _bits_matrix(np.arange(1 << half, dtype=np.int64), half)
         for alpha in (0.0, 0.05, 0.1, 0.3, 0.37, 0.45, 0.5):
-            ones, ent, _ = search._half_bounds(n, alpha)
+            ones, ent = search._half_bounds(n, alpha)
             want_ones, want_ent = search._kernel_terms(tables, alpha)
             assert np.array_equal(ones, want_ones), alpha
             assert np.array_equal(ent, want_ent), alpha
@@ -296,7 +315,7 @@ class TestHalfSplitBound:
                                split_halves(ints, n, i)):
                 assert np.array_equal(_bits_matrix(g, half), want), i
                 for alpha in self.ALPHAS:
-                    ones, ent, _ = search._half_bounds(n, alpha)
+                    ones, ent = search._half_bounds(n, alpha)
                     assert np.array_equal(ones[g], want.sum(axis=1))
                     assert np.max(np.abs(
                         ent[g] - fwht_smoothed_entropy(want, alpha))) <= 1e-14
@@ -306,12 +325,10 @@ class TestHalfSplitBound:
         half = 1 << (n - 1)
         ints = np.arange(1 << half, dtype=np.int64)
         for alpha in self.ALPHAS:
-            ones, ent, h_total = search._half_bounds(n, alpha)
+            ones, ent = search._half_bounds(n, alpha)
             assert np.array_equal(ones, _bits_matrix(ints, half).sum(axis=1))
             want = fwht_smoothed_entropy(_bits_matrix(ints, half), alpha)
             assert np.max(np.abs(ent - want)) <= 1e-14
-            assert np.array_equal(
-                h_total, binary_entropy(np.arange(2 * half + 1) / (2 * half)))
 
 
 class TestPrunedScan:

@@ -8,6 +8,7 @@ import pytest
 from mostinf.entropy import PsiSpec, binary_entropy
 from mostinf.sphere import (
     KernelSpec,
+    _polarized,
     SpherePointSet,
     SphericalField,
     circle_grid,
@@ -247,6 +248,22 @@ class TestPolarize:
                             [(1 - np.arange(8)) % 8])
         out = polarize(SphericalField(ps, np.arange(8) == 1), 0)
         np.testing.assert_array_equal(out.values, np.arange(8) == 0)
+
+    def test_lone_mirror_sides_cached_on_first_use(self):
+        # A lone mirror reads its pole sides from a row cached on first
+        # use; a stack of mirrors computes them.  Both give the same bits,
+        # and only the mirrors used get a row.
+        g = circle_grid(64)
+        assert g._pole_sides == {}
+        rng = np.random.default_rng(22)
+        f = SphericalField(g, rng.uniform(0.0, 1.0, 64))
+        used = [5, 17, 5, 40]
+        stacked = _polarized(g, f.values, np.array(used))
+        for k, want in zip(used, stacked):
+            np.testing.assert_array_equal(polarize(f, k).values, want)
+        assert sorted(g._pole_sides) == [5, 17, 40]
+        for row in g._pole_sides.values():
+            assert row.dtype == bool and row.shape == (64,)
 
     def test_closure_required(self):
         # A sample supports one mirror only.
