@@ -139,6 +139,8 @@ class MultiOutputFunction:
     table: np.ndarray
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"output bits k={self.k} must be >= 1")
         self.table = np.asarray(self.table, dtype=np.int64)
         if self.table.shape != (1 << self.n,):
             raise ValueError(f"table length {self.table.size} != 2^{self.n}")

@@ -143,8 +143,9 @@ class PsiSpec:
     def __post_init__(self):
         if self.kind not in ("neg_binary_entropy", "abs_power"):
             raise ValueError(f"unknown PsiSpec kind {self.kind!r}")
-        if self.kind == "abs_power" and self.power < 1.0:
-            raise ValueError("abs_power requires p >= 1")
+        if self.kind == "abs_power" and not 1.0 <= self.power < math.inf:
+            raise ValueError(f"abs_power requires p >= 1 and finite, "
+                             f"got {self.power}")
 
     @classmethod
     def neg_binary_entropy(cls) -> "PsiSpec":

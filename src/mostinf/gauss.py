@@ -98,6 +98,8 @@ def random_interval_union(mu: float, pieces: int, rng) -> GaussianSetSpec:
     measure ``mu``, built by splitting quantile space."""
     if not 0.0 < mu < 1.0:
         raise ValueError("measure must be in (0, 1)")
+    if pieces < 1:
+        raise ValueError(f"pieces={pieces} must be >= 1")
     lengths = rng.dirichlet(np.ones(pieces)) * mu
     gaps = rng.dirichlet(np.ones(pieces + 1)) * (1.0 - mu)
     # Gap, piece, gap, piece, ...: the running sum gives each piece's ends.

@@ -194,37 +194,16 @@ def _half_bounds(n: int, alpha: float) -> tuple[np.ndarray, ...]:
     return out
 
 
-@functools.lru_cache(maxsize=MAX_KERNEL_N)
-def _coordinate_movers(n: int) -> tuple[np.ndarray, ...]:
-    """For each coordinate i = n - 2, ..., 0, the bit permutation of n-bit
-    table integers that makes coordinate i the top one and keeps the order
-    of the others, as a lookup over words of min(2^n, 16) table bits (see
-    ``_moved``)."""
-    word = min(1 << n, 16)
-    j = np.arange(word)
-    bits = np.arange(256)[:, None] >> np.arange(8) & 1
-    movers = []
-    for i in range(n - 2, -1, -1):
-        # Table bit j goes to j with bit i deleted, plus 2^(n-1) if it was set.
-        dest = (j >> (i + 1) << i | j & ((1 << i) - 1)
-                | (j >> i & 1) << (n - 1))
-        lut = np.zeros(1, dtype=np.int64)
-        for k in range(0, word, 8):  # one byte of the word at a time
-            part = dest[k:k + 8]
-            lut = ((bits[:, :part.size] << part).sum(axis=1)[:, None]
-                   | lut).ravel()
-        lut.flags.writeable = False
-        movers.append(lut)
-    return tuple(movers)
-
-
-def _moved(tables: np.ndarray, lut: np.ndarray, n: int) -> np.ndarray:
-    """The tables under one ``_coordinate_movers`` permutation.  An n = 5
-    table is two 16-bit words, one for each value of coordinate 4; each
-    word's two halves land 8 bits apart."""
-    if n < 5:
-        return np.take(lut, tables)
-    return np.take(lut, tables & 0xFFFF) | np.take(lut, tables >> 16) << 8
+def _swap_top(tables: np.ndarray, i: int, n: int) -> np.ndarray:
+    """The n-bit table integers with input coordinates i and n - 1 swapped,
+    by one delta swap: each table bit j < 2^(n-1) with bit i of j set trades
+    places with bit j + 2^(n-1) - 2^i."""
+    half, width = 1 << (n - 1), 1 << i
+    shift = half - width
+    # Those bits j: runs of 2^i ones every 2^(i + 1) bits, from bit 2^i.
+    mask = ((1 << half) - 1) // ((1 << width) + 1) << width
+    d = ((tables >> shift) ^ tables) & mask
+    return tables ^ d ^ (d << shift)
 
 
 def _pruned_mi(lo: int, hi: int, n: int, alpha: float,
@@ -265,11 +244,11 @@ def _pruned_mi(lo: int, hi: int, n: int, alpha: float,
     probe_mi = _batched_mi(_bits_matrix(2 * (lo + probe), size), alpha)
     cut = max(best, float(np.max(probe_mi))) - PRUNE_SLACK
     rest = rest[later & (bound[rest] >= cut)]
-    for lut in _coordinate_movers(n):
+    for i in range(n - 2, -1, -1):
         if not rest.size:
             break
-        moved = _moved(2 * (lo + rest), lut, n)
-        g0, g1 = moved & ((1 << half) - 1), moved >> half
+        swapped = _swap_top(2 * (lo + rest), i, n)
+        g0, g1 = swapped & ((1 << half) - 1), swapped >> half
         rest = rest[h_mean[rest] - 0.5 * (np.take(ent, g0) + np.take(ent, g1))
                     >= cut]
     tables = 2 * (lo + np.concatenate((probe, rest)))
@@ -382,6 +361,9 @@ def lex_failure_check(k: int, n: int, alpha: float) -> dict:
 
 _CHECKPOINT_KEYS = {"n", "alpha", "next", "max_mi", "witnesses", "scanned"}
 PROGRESS_EVERY_S = 10.0
+# Largest --chunk: a chunk's working arrays take about 40 B a representative
+# (some 240 MiB of peak RSS at this cap).
+MAX_CHUNK = 1 << 22
 
 
 def _is_int(value) -> bool:
@@ -446,13 +428,13 @@ def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
                       max_chunks: int | None = None) -> SearchReport:
     """Scan all 2^(2^n) truth tables and compare the best against 1 - h(alpha).
 
-    Even table integers are scanned ``chunk_size`` at a time; argmax holds
-    the least ``ARGMAX_CAP`` winners, complements included.  ``checkpoint``
-    is JSON keyed by a table-index watermark, replaced after every chunk;
-    ``max_chunks`` ends the call early, and an unfinished scan certifies
-    nothing.  A scan of several chunks prints progress (chunks, tables/s,
-    ETA, share of tables evaluated) to stderr at most every
-    ``PROGRESS_EVERY_S`` s and when it ends.
+    Even table integers are scanned ``chunk_size`` (at most ``MAX_CHUNK``)
+    at a time; argmax holds the least ``ARGMAX_CAP`` winners, complements
+    included.  ``checkpoint`` is JSON keyed by a table-index watermark,
+    replaced after every chunk; ``max_chunks`` ends the call early, and an
+    unfinished scan certifies nothing.  A scan of several chunks prints
+    progress (chunks, tables/s, ETA, share of tables evaluated) to stderr
+    at most every ``PROGRESS_EVERY_S`` s and when it ends.
 
     The kernel evaluates only the tables whose split bounds
     I(f) <= U_i(f) = h((|f0| + |f1|) / 2^n) - (H(f0) + H(f1)) / 2 all reach
@@ -469,9 +451,10 @@ def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
     if not 2 <= n <= MAX_KERNEL_N:
         raise ValueError(f"full scan supports 2 <= n <= {MAX_KERNEL_N}, "
                          f"got {n}")
-    if chunk_size < 1 or (max_chunks is not None and max_chunks < 0):
-        raise ValueError(f"scan needs chunk_size >= 1 and max_chunks >= 0, "
-                         f"got {chunk_size} and {max_chunks}")
+    if not 1 <= chunk_size <= MAX_CHUNK or (
+            max_chunks is not None and max_chunks < 0):
+        raise ValueError(f"scan needs 1 <= chunk_size <= {MAX_CHUNK} and "
+                         f"max_chunks >= 0, got {chunk_size} and {max_chunks}")
     alpha = float(alpha)
     size = 1 << n
     full = (1 << size) - 1

@@ -310,6 +310,12 @@ class TestDispatchErrors:
          "--spec", "[[0.1, 0.5, 0.9]]"],
         ["sphere", "polarize-check", "--grid", "5794", "--rho", "0.3",
          "--trials", "1"],
+        ["boolean", "verify", "--n", "5", "--alpha", "0.3", "--chunk",
+         "2147483648", "--max-chunks", "1"],
+        ["boolean", "mi", "--tt", "multi.tt", "--alpha", "0.2",
+         "--multi", "-1"],
+        ["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5",
+         "--pieces", "-1"],
     ])
     def test_bad_input_exit_2_one_line(self, capsys, tmp_path, monkeypatch,
                                        argv):
@@ -317,6 +323,7 @@ class TestDispatchErrors:
         (tmp_path / "no-n.tt").write_text("conv=zero_one\n0110\n")
         (tmp_path / "no-conv.tt").write_text("n=2\n0110\n")
         (tmp_path / "empty.tt").write_text("")
+        (tmp_path / "multi.tt").write_text("n=2\n0 1 2 3\n")
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -324,13 +331,14 @@ class TestDispatchErrors:
         assert len(err.splitlines()) == 1
 
     def test_rejected_psi_reports_the_reason(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sphere", "polarize-check", "--grid", "8", "--rho", "0.3",
-                  "--psi", "abs:0.5"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "abs_power requires p >= 1" in err
-        assert "_psi" not in err
+        for power in ("0.5", "nan", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                main(["sphere", "polarize-check", "--grid", "8", "--rho",
+                      "0.3", "--psi", f"abs:{power}"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "abs_power requires p >= 1" in err
+            assert "_psi" not in err
 
     def test_truncated_checkpoint_exit_2(self, capsys, tmp_path):
         ckpt = tmp_path / "scan.json"

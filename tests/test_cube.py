@@ -248,6 +248,11 @@ class TestMutualInformation:
         assert mutual_information_direct(f, alpha) == pytest.approx(
             2 * (1 - binary_entropy(alpha)), abs=1e-11)
 
+    def test_multi_output_needs_an_output_bit(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"k={k} must be >= 1"):
+                MultiOutputFunction(2, k, np.zeros(4, dtype=np.int64))
+
 
 class TestSmoothingEngine:
     def test_batched_rows_bit_identical(self):

@@ -94,6 +94,13 @@ class TestSetSpecs:
                 spec = random_interval_union(mu, int(rng.integers(1, 5)), rng)
                 assert spec.measure() == pytest.approx(mu, abs=1e-9)
 
+    def test_random_union_rejects_no_pieces_before_drawing(self):
+        rng = np.random.default_rng(1)
+        for pieces in (0, -1):
+            with pytest.raises(ValueError, match=f"pieces={pieces} must"):
+                random_interval_union(0.5, pieces, rng)
+        assert rng.random() == np.random.default_rng(1).random()
+
 
 class TestMehlerKernel:
     def test_rho_zero_is_one(self):

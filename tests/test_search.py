@@ -255,6 +255,9 @@ class TestExhaustiveVerify:
             exhaustive_verify(4, 0.1, chunk_size=0)
         with pytest.raises(ValueError):
             exhaustive_verify(4, 0.1, max_chunks=-1)
+        with pytest.raises(ValueError):  # above the cap
+            exhaustive_verify(5, 0.3, chunk_size=search.MAX_CHUNK + 1,
+                              max_chunks=1)
 
     def test_empty_slice_reports_the_checkpoint(self, tmp_path):
         ckpt = str(tmp_path / "scan.json")
@@ -298,22 +301,27 @@ class TestHalfSplitBound:
             assert np.array_equal(ones, want_ones), alpha
             assert np.array_equal(ent, want_ent), alpha
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_coordinate_halves_match_the_reference(self, n):
-        # Moving coordinate i to the top keeps the order of the others, so
-        # the moved table's low and high halves are f0 and f1 of the split
-        # on i, and the scan's terms read their ones counts and H.
+        # Swapping coordinates i and n - 1 is an involution that permutes
+        # the table's bits as it permutes the indices.  The swapped table's
+        # low and high halves are f0 and f1 of the split on i with their
+        # other coordinates in one shared order, so the scan's terms read
+        # their ones counts and, H being invariant, their H.
         half = 1 << (n - 1)
         ints = np.arange(1 << (1 << n), dtype=np.int64) if n < 5 else \
             np.random.default_rng(32).integers(0, 1 << 32, 1 << 12,
                                                dtype=np.int64)
-        movers = search._coordinate_movers(n)
-        assert len(movers) == n - 1
-        for i, lut in zip(range(n - 2, -1, -1), movers):
-            moved = search._moved(ints, lut, n)
-            for g, want in zip((moved & ((1 << half) - 1), moved >> half),
+        j = np.arange(1 << n)
+        for i in range(n - 1):
+            swapped = search._swap_top(ints, i, n)
+            assert np.array_equal(search._swap_top(swapped, i, n), ints), i
+            flip = ((j >> i) ^ (j >> (n - 1))) & 1
+            index = j ^ flip * ((1 << i) | half)
+            assert np.array_equal(_bits_matrix(swapped, 1 << n),
+                                  _bits_matrix(ints, 1 << n)[:, index]), i
+            for g, want in zip((swapped & ((1 << half) - 1), swapped >> half),
                                split_halves(ints, n, i)):
-                assert np.array_equal(_bits_matrix(g, half), want), i
                 for alpha in self.ALPHAS:
                     ones, ent = search._half_bounds(n, alpha)
                     assert np.array_equal(ones[g], want.sum(axis=1))
@@ -399,6 +407,18 @@ class TestPrunedScan:
                               chunk_size=1024, max_chunks=16)
             state = unpruned_scan(4, alpha, state, 1024, 16)
             assert json.loads(ckpt.read_text()) == state
+
+    def test_default_chunks_from_the_start_equal_the_oracle(self, tmp_path):
+        # At alpha = 0.45 the kernel evaluates 38.6 % of the first default
+        # chunk and 24.6 % of the second, so the most tables reach the
+        # coordinate cascade there.
+        ckpt = tmp_path / "scan.json"
+        report = exhaustive_verify(5, 0.45, checkpoint=str(ckpt),
+                                   max_chunks=2)
+        want = unpruned_scan(5, 0.45, self.start(0.45, 0), 1 << 16, 2)
+        assert json.loads(ckpt.read_text()) == want
+        assert report.max_mi == want["max_mi"]
+        assert report.functions_scanned == 1 << 18
 
     @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.45])
     def test_near_tie_below_a_stored_maximum_is_kept(self, tmp_path, alpha):
