@@ -195,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multi", type=int, default=None)
     p.set_defaults(
         params=lambda a: {"tt": a.tt, "alpha": a.alpha,
-                          **({"multi": a.multi} if a.multi else {})},
+                          **({} if a.multi is None else {"multi": a.multi})},
         call=lambda a: cube.mi_check(Path(a.tt).read_text(), a.alpha,
                                      a.multi))
     p = b.add_parser("family", parents=[common])
@@ -292,15 +292,16 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         record, payload = _run(args)
+        record.wall_time_ms = int(1000 * (time.monotonic() - start))
+        if payload is None:
+            payload = emit(record, args.format)
     except (ValueError, OSError) as exc:
         # Input the library rejects (out-of-range sizes, unreadable files, a
-        # stale checkpoint) is a usage error; a numerical guard's
-        # AssertionError still propagates with exit code 1.
+        # stale checkpoint), or whose record holds a non-finite metric, is a
+        # usage error; a numerical guard's AssertionError still propagates
+        # with exit code 1.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    record.wall_time_ms = int(1000 * (time.monotonic() - start))
-    if payload is None:
-        payload = emit(record, args.format)
     try:
         if args.out:
             with open(args.out, "wb") as fh:

@@ -290,9 +290,9 @@ def mutual_information_phi(f: BooleanFunction, rho: float) -> float:
 
 
 def mi_check(text: str, alpha: float, multi: int | None = None) -> dict:
-    """Report metrics of a truth table's MI, or with a nonzero ``multi`` of
-    a ``multi``-bit output table (``parse_multi_table``)."""
-    if multi:
+    """Report metrics of a truth table's MI, or with ``multi`` given of a
+    ``multi``-bit output table (``parse_multi_table``)."""
+    if multi is not None:
         mi = mutual_information_direct(parse_multi_table(text, multi), alpha)
         return {"mi": mi, "per_bit": mi / multi}
     f = parse_truth_table(text)

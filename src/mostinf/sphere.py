@@ -153,14 +153,38 @@ class KernelSpec:
         return cls(rho=float(rho), dim=int(dim))
 
     def _evaluate_owned(self, s: np.ndarray) -> np.ndarray:
-        """The kernel at the inner products ``s``, a float array the caller
-        owns: the formula overwrites ``s`` and returns it."""
+        """The kernel at the inner products ``s``, a C-contiguous float
+        array the caller owns: the formula overwrites ``s``, ``_BLOCK``
+        entries at a time, and returns it.
+
+        ||x - rho y||^dim comes from correctly rounded operations only, so
+        no entry depends on which SIMD ``pow`` numpy dispatches: q^(dim//2)
+        by left-to-right repeated squaring of q = ||x - rho y||^2, times
+        sqrt(q) when dim is odd.  Then a reciprocal and the (1 - rho^2)
+        scale; at dim = 2 that is bit for bit q ** -1.0 times the scale."""
         rho, d = self.rho, self.dim
-        # ||x - rho y||^2 = 1 + rho^2 - 2 rho <x,y>, >= (1 - rho)^2.
-        s *= 2.0 * rho
-        np.subtract(1.0 + rho ** 2, s, out=s)
-        s **= -d / 2.0
-        s *= 1.0 - rho ** 2
+        if not s.flags.c_contiguous:
+            raise ValueError("kernel evaluation needs a contiguous array")
+        flat = s.reshape(-1)
+        steps = bin(d // 2)[3:]       # the exponent's bits below its top
+        keep = d % 2 or "1" in steps  # whether q is needed after squaring
+        scratch = np.empty(min(flat.size, _BLOCK) if keep else 0)
+        for lo in range(0, flat.size, _BLOCK):
+            q = flat[lo:lo + _BLOCK]
+            # ||x - rho y||^2 = 1 + rho^2 - 2 rho <x,y>, >= (1 - rho)^2.
+            q *= 2.0 * rho
+            np.subtract(1.0 + rho ** 2, q, out=q)
+            base = scratch[:q.size]
+            if keep:
+                np.copyto(base, q)
+            for bit in steps:
+                q *= q
+                if bit == "1":
+                    q *= base
+            if d % 2:
+                q *= np.sqrt(base, out=base)
+            np.reciprocal(q, out=q)
+            q *= 1.0 - rho ** 2
         return s
 
 
@@ -392,8 +416,11 @@ def mc_check(dim: int, points: int, rho: float, seed: int) -> dict:
     ps = sphere_sample(dim, points, seed)
     rng = np.random.default_rng(seed + 1)
     f = SphericalField(ps, rng.integers(0, 2, points).astype(float))
-    res = polarization_inequality_check(f, 0, KernelSpec.poisson(rho, dim),
-                                        PsiSpec.square())
+    # At a high dim the kernel, or J = sum w (Kf)^2, overflows: the metrics
+    # come out inf or nan, silently, and a caller must reject them.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        res = polarization_inequality_check(
+            f, 0, KernelSpec.poisson(rho, dim), PsiSpec.square())
     mean_proj = float(np.mean(ps._height))
     keys = ("j_before", "j_after", "max_sum_dev", "min_diff_margin")
     return {"weight_sum": float(np.sum(ps.weights)),

@@ -316,6 +316,8 @@ class TestDispatchErrors:
          "--multi", "-1"],
         ["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5",
          "--pieces", "-1"],
+        ["sphere", "mc", "--dim", "800", "--points", "2"],
+        ["sphere", "mc", "--dim", "5000", "--points", "2"],
     ])
     def test_bad_input_exit_2_one_line(self, capsys, tmp_path, monkeypatch,
                                        argv):
@@ -329,6 +331,15 @@ class TestDispatchErrors:
         assert out == ""
         assert err.startswith("mostinf: error: ")
         assert len(err.splitlines()) == 1
+
+    def test_multi_zero_names_the_output_bits(self, capsys, tmp_path):
+        # --multi 0 is a multi-output call with no output bit, not the
+        # binary path, which would reject the header for lacking conv=.
+        table = tmp_path / "multi.tt"
+        table.write_text("n=2\n0 1 2 3\n")
+        assert main(["boolean", "mi", "--tt", str(table), "--alpha", "0.2",
+                     "--multi", "0"]) == 2
+        assert "output bits k=0 must be >= 1" in capsys.readouterr().err
 
     def test_rejected_psi_reports_the_reason(self, capsys):
         for power in ("0.5", "nan", "inf"):
@@ -396,9 +407,6 @@ _SCHEMA = [
       "argmax_hex", "argmax_is_dictators", "scan_complete"], False,
      "name,value"),
     (["boolean", "mi", "--tt", "table.tt", "--alpha", "0.2"],
-     ["alpha", "tt"], ["mi", "mean", "mi_phi_path", "path_difference"],
-     False, "name,value"),
-    (["boolean", "mi", "--tt", "table.tt", "--alpha", "0.2", "--multi", "0"],
      ["alpha", "tt"], ["mi", "mean", "mi_phi_path", "path_difference"],
      False, "name,value"),
     (["boolean", "mi", "--tt", "multi.tt", "--alpha", "0.2", "--multi", "2"],

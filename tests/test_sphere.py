@@ -8,6 +8,7 @@ import pytest
 from mostinf.entropy import PsiSpec, binary_entropy
 from mostinf.sphere import (
     KernelSpec,
+    _BLOCK,
     _polarized,
     SpherePointSet,
     SphericalField,
@@ -569,12 +570,21 @@ class TestSphericalMI:
 
 
 def kernel_formula(kernel, inner):
-    """The Poisson kernel at the inner products ``inner``, in one
-    expression, as the stored kernel rows must hold it."""
+    """The Poisson kernel at the inner products ``inner``, as the stored
+    kernel rows must hold it: sq = ||x - rho y||^2 raised to dim // 2 by
+    left-to-right repeated squaring, times sqrt(sq) for an odd dim, then
+    a reciprocal and the (1 - rho^2) scale."""
     s = np.asarray(inner, dtype=float)
     rho, d = kernel.rho, kernel.dim
     sq = 1.0 + rho ** 2 - 2.0 * rho * s
-    return (1.0 - rho ** 2) * sq ** (-d / 2.0)
+    power = sq
+    for bit in bin(d // 2)[3:]:
+        power = power * power
+        if bit == "1":
+            power = power * sq
+    if d % 2:
+        power = power * np.sqrt(sq)
+    return (1.0 - rho ** 2) * (1.0 / power)
 
 
 def dense_kernel(kernel, ps):
@@ -688,6 +698,41 @@ class TestKernelEvaluate:
         got = ps.kernel_matrix(kernel)
         assert np.array_equal(ps.points, kept)
         assert np.array_equal(got, kernel_formula(kernel, kept @ kept.T))
+
+    @pytest.mark.parametrize("dim", [*range(2, 21), 32, 64, 200])
+    def test_within_dim_ulps_of_pow(self, dim):
+        # Squaring doubles the relative error it is given, so repeated
+        # squaring drifts from the pow form by up to about dim / 4 + 2
+        # ulps; at dim = 2 both are one reciprocal.
+        inner = np.linspace(-1.0, 1.0, 200001)
+        for rho in (0.0, 0.1, 0.5, 0.8, 0.95):
+            got = KernelSpec.poisson(rho, dim)._evaluate_owned(inner.copy())
+            sq = 1.0 + rho ** 2 - 2.0 * rho * inner
+            want = (1.0 - rho ** 2) * sq ** (-dim / 2.0)
+            if dim == 2:
+                assert np.array_equal(got, want), rho
+            ok = np.isfinite(want) & (want > 1e-300)
+            assert ok.any(), rho
+            rel = np.abs(got[ok] - want[ok]) / want[ok]
+            assert rel.max() <= dim * 2.0 ** -52, (rho, rel.max())
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 7])
+    def test_blocks_equal_one_row_at_a_time(self, dim):
+        # 7 rows of 30,011 entries: the blocks of the flat array cross the
+        # rows, and the last block is a partial one.
+        inner = np.random.default_rng(35).uniform(-1.0, 1.0, (7, 30011))
+        assert inner.size % _BLOCK != 0
+        kernel = KernelSpec.poisson(0.6, dim)
+        rows = np.array([kernel._evaluate_owned(row.copy())
+                         for row in inner])
+        assert np.array_equal(kernel._evaluate_owned(inner.copy()), rows)
+        assert np.array_equal(kernel._evaluate_owned(inner.ravel()),
+                              rows.ravel())
+
+    def test_non_contiguous_input_rejected(self):
+        inner = np.zeros((4, 6))
+        with pytest.raises(ValueError, match="contiguous"):
+            KernelSpec.poisson(0.5, 3)._evaluate_owned(inner[:, ::2])
 
 
 class TestMcCap:
