@@ -409,6 +409,8 @@ _SCHEMA = [
     (["boolean", "mi", "--tt", "table.tt", "--alpha", "0.2"],
      ["alpha", "tt"], ["mi", "mean", "mi_phi_path", "path_difference"],
      False, "name,value"),
+    (["boolean", "mi", "--tt", "multi1.tt", "--alpha", "0.2", "--multi", "1"],
+     ["alpha", "multi", "tt"], ["mi", "per_bit"], False, "name,value"),
     (["boolean", "mi", "--tt", "multi.tt", "--alpha", "0.2", "--multi", "2"],
      ["alpha", "multi", "tt"], ["mi", "per_bit"], False, "name,value"),
     (["boolean", "family", "--kind", "and_k", "--n", "4", "--alpha", "0.2"],
@@ -478,6 +480,7 @@ def test_record_schema(capsys, tmp_path, monkeypatch, argv, params, names,
     monkeypatch.chdir(tmp_path)
     (tmp_path / "table.tt").write_text("n=3 conv=zero_one\n01101001\n")
     (tmp_path / "multi.tt").write_text("n=2 k=2\n0 1 2 3\n")
+    (tmp_path / "multi1.tt").write_text("n=2 k=1\n0 1 1 0\n")
     code, obj = run_json(capsys, *argv)
     assert code == 0
     assert sorted(obj["params"]) == params
