@@ -34,17 +34,13 @@ _PSI_NAMES = {
 }
 
 
-def _psi(name: str) -> tuple[str, PsiSpec]:
-    """The type of --psi: the name as given and its PsiSpec; argparse's
-    error for a rejected name carries the reason."""
-    try:
-        if name.startswith("abs:"):
-            return name, PsiSpec.abs_power(float(name.split(":", 1)[1]))
-        return name, _PSI_NAMES[name]()
-    except KeyError:
-        raise argparse.ArgumentTypeError(f"unknown psi {name!r}") from None
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _psi(name: str) -> PsiSpec:
+    """The PsiSpec that --psi names: neg-entropy, square or abs:p."""
+    if name.startswith("abs:"):
+        return PsiSpec.abs_power(float(name.split(":", 1)[1]))
+    if name not in _PSI_NAMES:
+        raise ValueError(f"unknown psi {name!r}")
+    return _PSI_NAMES[name]()
 
 
 def _alpha(value: str) -> float:
@@ -52,13 +48,6 @@ def _alpha(value: str) -> float:
     if not 0.0 <= a <= 0.5:
         raise argparse.ArgumentTypeError("alpha must lie in [0, 0.5]")
     return a
-
-
-def _rho(value: str) -> float:
-    r = float(value)
-    if not 0.0 <= r < 1.0:
-        raise argparse.ArgumentTypeError("rho must lie in [0, 1)")
-    return r
 
 
 def _spec(text: str | None) -> list | None:
@@ -166,13 +155,20 @@ def _family_option(args) -> dict:
     return {key: getattr(args, key)} if key else {}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its errors reach ``main`` as ValueError; only --help exits."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None)
     common.add_argument("--seed", type=int, default=0)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mostinf",
         description="Numerical checks for noise-channel information "
                     "functionals on the cube, the sphere, and Gaussian "
@@ -233,32 +229,29 @@ def _build_parser() -> argparse.ArgumentParser:
     s = top.add_parser("sphere").add_subparsers(dest="cmd", required=True)
     p = s.add_parser("polarize-check", parents=[common])
     p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--rho", type=_rho, required=True)
-    p.add_argument("--psi", type=_psi, default="neg-entropy",
-                   metavar="PSI_NAME")
+    p.add_argument("--rho", type=float, required=True)
+    p.add_argument("--psi", default="neg-entropy", metavar="PSI_NAME")
     p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(
-        params=lambda a: {"grid": a.grid, "rho": a.rho, "psi": a.psi[0],
-                          "trials": a.trials},
-        call=lambda a: sphere.polarization_check(
-            a.grid, a.rho, a.psi[1], a.trials, a.seed))
+    p.set_defaults(params=("grid", "rho", "psi", "trials"), call=lambda a:
+                   sphere.polarization_check(a.grid, a.rho, _psi(a.psi),
+                                             a.trials, a.seed))
     p = s.add_parser("rearrange", parents=[common])
     p.add_argument("--grid", type=int, required=True)
-    p.add_argument("--rho", type=_rho, required=True)
+    p.add_argument("--rho", type=float, required=True)
     p.add_argument("--steps", type=int, default=500)
     p.set_defaults(params=("grid", "rho", "steps"), call=lambda a:
                    sphere.rearrange_check(a.grid, a.rho, a.steps, a.seed))
     p = s.add_parser("mc", parents=[common])
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--rho", type=_rho, default=0.5)
+    p.add_argument("--rho", type=float, default=0.5)
     p.set_defaults(params=("dim", "points", "rho"), call=lambda a:
                    sphere.mc_check(a.dim, a.points, a.rho, a.seed))
 
     g = top.add_parser("gauss").add_subparsers(dest="cmd", required=True)
     p = g.add_parser("halfspace-vs", parents=[common])
     p.add_argument("--measure", type=float, required=True)
-    p.add_argument("--rho", type=_rho, required=True)
+    p.add_argument("--rho", type=float, required=True)
     p.add_argument("--spec", default=None)
     p.add_argument("--pieces", type=int, default=3)
     p.set_defaults(
@@ -269,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
             a.measure, a.rho, a.pieces, a.seed, _spec(a.spec)))
     p = g.add_parser("kernel-limit", parents=[common])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", type=_rho, required=True)
+    p.add_argument("--rho", type=float, required=True)
     p.add_argument("--bigN", required=True)
     p.set_defaults(params=("n", "rho", "bigN"), call=(
         lambda a: gauss.kernel_limit_check(
@@ -277,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = g.add_parser("factor-check", parents=[common])
     p.add_argument("--bigN", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", type=_rho, default=0.5)
+    p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--samples", type=int, default=20000)
     p.set_defaults(params=("bigN", "n", "rho", "trials", "samples"), call=(
@@ -288,29 +281,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    start = time.monotonic()
     try:
+        args = parser.parse_args(argv)
+        start = time.monotonic()
         record, payload = _run(args)
         record.wall_time_ms = int(1000 * (time.monotonic() - start))
         if payload is None:
             payload = emit(record, args.format)
-    except (ValueError, OSError) as exc:
-        # Input the library rejects (out-of-range sizes, unreadable files, a
-        # stale checkpoint), or whose record holds a non-finite metric, is a
-        # usage error; a numerical guard's AssertionError still propagates
-        # with exit code 1.
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if args.out:
             with open(args.out, "wb") as fh:
                 fh.write(payload)
         else:
             sys.stdout.buffer.write(payload)
             sys.stdout.buffer.flush()
-    except OSError as exc:
-        # An unwritable --out path is a usage error too.
+    except (ValueError, OSError) as exc:
+        # A bad command line, input the library rejects, a non-finite metric
+        # and an unwritable --out path are usage errors; a numerical guard's
+        # AssertionError still propagates with exit code 1.
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
     if record.passed is False:

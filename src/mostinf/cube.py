@@ -223,6 +223,14 @@ def _entropy_bits(p, axis: int = -1):
     return float(out) if out.ndim == 0 else out
 
 
+def _flip_probability(alpha) -> float:
+    """``alpha`` as a float, which must lie in [0, 1] (nan does not)."""
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"flip probability {alpha!r} outside [0, 1]")
+    return alpha
+
+
 def _distance_weights(n: int, alpha: float) -> np.ndarray:
     """Pr[x | y] per Hamming distance class, exponentiated from log space."""
     if alpha == 0.0:
@@ -244,9 +252,7 @@ def mutual_information_direct(f, alpha: float) -> float:
     correlated pair); multi-output tables smooth the one-hot row of every
     output value, which costs O(2^k n 2^n).
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"flip probability {alpha!r} outside [0, 1]")
+    alpha = _flip_probability(alpha)
     if not isinstance(f, (BooleanFunction, MultiOutputFunction)):
         raise TypeError(f"unsupported function type {type(f)!r}")
     if f.n > 15:
@@ -463,9 +469,7 @@ def symmetric_mi(profile: SymmetricProfile, alpha: float) -> float:
     n = profile.n
     if n > 2000:
         raise ValueError("level range capped at n = 2000")
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"flip probability {alpha!r} outside [0, 1]")
+    alpha = _flip_probability(alpha)
     levels = profile.levels
     q = _level_masses(n)
     mu = min(max(float(math.fsum((q * levels).tolist())), 0.0), 1.0)
@@ -584,9 +588,7 @@ def perfect_code_mi(alpha: float):
     ``mutual_information_direct(hamming_code_decoder(), alpha)``, is its
     oracle.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"flip probability {alpha!r} outside [0, 1]")
+    alpha = _flip_probability(alpha)
     decoder = hamming_code_decoder()
     xs = np.arange(1 << _CODE_N, dtype=np.int64)
     wd = _distance_weights(_CODE_N, alpha)

@@ -38,12 +38,14 @@ _OSW_ALPHA_MIN = 0.5 * (1.0 - 1.0 / math.sqrt(3.0))
 def binary_entropy(beta):
     """Entropy in bits of a {0,1} coin with bias ``beta``.
 
-    Accepts a scalar or ndarray; endpoints use the continuity convention
-    0*log(1/0) = 0 and give +0.0.
+    Accepts a scalar or ndarray in [0, 1], nan rejected; endpoints use the
+    continuity convention 0*log(1/0) = 0 and give +0.0.
     """
     b = np.asarray(beta, dtype=float)
-    if np.any(b < 0.0) or np.any(b > 1.0):
-        raise ValueError(f"binary_entropy: bias outside [0, 1]: {beta!r}")
+    inside = (0.0 <= b) & (b <= 1.0)
+    if not inside.all():
+        raise ValueError(f"binary_entropy: bias outside [0, 1]: "
+                         f"{float(b[~inside][0])!r}")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = 0.0 - np.where(b > 0.0, b * np.log2(b), 0.0)
         out -= np.where(b < 1.0, (1.0 - b) * np.log2(1.0 - b), 0.0)

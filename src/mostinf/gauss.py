@@ -286,6 +286,8 @@ def kernel_limit_check(n: int, rho: float, big_ns, seed: int) -> dict:
     one "table" row per N: the errors must fall, the last below 5%."""
     if len(set(big_ns)) != len(big_ns):
         raise ValueError(f"repeated N in {list(big_ns)}")
+    # Every (N, n) is checked before y and z, of n entries each, are drawn.
+    params = [LimitParams(N=big_n, n=n) for big_n in big_ns]
     if n == 2:
         y = np.array([0.5, 0.0])
         z = np.array([0.2, 0.3])
@@ -293,11 +295,14 @@ def kernel_limit_check(n: int, rho: float, big_ns, seed: int) -> dict:
         rng = np.random.default_rng(seed)
         y = rng.uniform(-0.5, 0.5, n)
         z = rng.uniform(-0.5, 0.5, n)
-    ref = mehler_kernel(y, z, rho)
-    rows = []
-    for big_n in big_ns:
-        val = u_rho_N(y, z, rho, LimitParams(N=big_n, n=n))
-        rows.append([big_n, val, ref, abs(val - ref), abs(val - ref) / ref])
+    try:
+        ref = mehler_kernel(y, z, rho)
+        vals = [u_rho_N(y, z, rho, p) for p in params]
+    except OverflowError:
+        raise ValueError(f"a kernel value at n = {n}, rho = {rho} overflows "
+                         "a float") from None
+    rows = [[p.N, val, ref, abs(val - ref), abs(val - ref) / ref]
+            for p, val in zip(params, vals)]
     monotone = all(a[4] > b[4] for a, b in zip(rows, rows[1:]))
     return {**{f"rel_err_N{row[0]}": row[4] for row in rows},
             "errors_monotone": monotone,

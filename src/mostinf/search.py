@@ -53,6 +53,7 @@ from .cube import (
     BooleanFunction,
     SymmetricProfile,
     _distance_weights,
+    _flip_probability,
     _level_masses,
     _popcount,
     and_mi_exact,
@@ -286,7 +287,7 @@ def fixed_mean_max(n: int, m: int, alpha: float) -> SearchReport:
     size = 1 << n
     if not 0 <= m <= size:
         raise ValueError(f"ones count {m} outside 0..{size}")
-    alpha = float(alpha)
+    alpha = _flip_probability(alpha)
     all_ints = np.arange(1 << size, dtype=np.int64)
     sel = all_ints[_popcount(all_ints) == m]
     mi = _batched_mi(_bits_matrix(sel, size), alpha)
@@ -455,7 +456,7 @@ def exhaustive_verify(n: int, alpha: float, checkpoint: str | None = None,
             max_chunks is not None and max_chunks < 0):
         raise ValueError(f"scan needs 1 <= chunk_size <= {MAX_CHUNK} and "
                          f"max_chunks >= 0, got {chunk_size} and {max_chunks}")
-    alpha = float(alpha)
+    alpha = _flip_probability(alpha)
     size = 1 << n
     full = (1 << size) - 1
     total_reps = 1 << (size - 1)

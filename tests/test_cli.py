@@ -248,21 +248,34 @@ class TestGaussCommands:
         assert metrics["factorization_worst_rel"] <= 1e-9
 
 
+def assert_one_error_line(capsys):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("mostinf: error: ")
+    assert len(err.splitlines()) == 1
+    return err
+
+
 class TestDispatchErrors:
     def test_usage_error_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["boolean", "verify", "--n"])
-        assert exc.value.code == 2
+        assert main(["boolean", "verify", "--n"]) == 2
+        assert "--n: expected one argument" in assert_one_error_line(capsys)
 
     def test_unknown_command_exit_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["quantum"])
-        assert exc.value.code == 2
+        assert main(["quantum"]) == 2
+        assert "'quantum'" in assert_one_error_line(capsys)
 
     def test_alpha_range_enforced(self, capsys):
+        assert main(["boolean", "verify", "--n", "2", "--alpha", "0.7"]) == 2
+        assert "alpha must lie in [0, 0.5]" in assert_one_error_line(capsys)
+
+    def test_help_exits_0_with_help_on_stdout(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["boolean", "verify", "--n", "2", "--alpha", "0.7"])
-        assert exc.value.code == 2
+            main(["sphere", "mc", "--help"])
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: mostinf sphere mc ")
+        assert err == ""
 
     @pytest.mark.parametrize("argv", [
         ["boolean", "verify", "--n", "7", "--alpha", "0.1"],
@@ -318,6 +331,23 @@ class TestDispatchErrors:
          "--pieces", "-1"],
         ["sphere", "mc", "--dim", "800", "--points", "2"],
         ["sphere", "mc", "--dim", "5000", "--points", "2"],
+        ["gauss", "kernel-limit", "--n", "10000", "--rho", "0.5",
+         "--bigN", "50"],
+        ["gauss", "kernel-limit", "--n", "10000", "--rho", "0.5",
+         "--bigN", "2000000"],
+        ["boolean", "verify", "--n"],
+        ["quantum"],
+        ["sphere", "mc", "--dim", "4", "--points", "x"],
+        ["boolean", "family", "--kind", "parity", "--n", "3",
+         "--alpha", "0.1"],
+        ["boolean", "verify", "--n", "2", "--alpha", "0.1", "--bogus"],
+        ["boolean", "verify", "--n", "2", "--alpha", "0.7"],
+        ["sphere", "rearrange", "--grid", "16", "--rho", "1.5"],
+        ["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "nan"],
+        ["sphere", "polarize-check", "--grid", "16", "--rho", "0.3",
+         "--psi", "foo"],
+        ["sphere", "polarize-check", "--grid", "16", "--rho", "0.3",
+         "--psi", "abs:0.5"],
     ])
     def test_bad_input_exit_2_one_line(self, capsys, tmp_path, monkeypatch,
                                        argv):
@@ -343,11 +373,9 @@ class TestDispatchErrors:
 
     def test_rejected_psi_reports_the_reason(self, capsys):
         for power in ("0.5", "nan", "inf"):
-            with pytest.raises(SystemExit) as exc:
-                main(["sphere", "polarize-check", "--grid", "8", "--rho",
-                      "0.3", "--psi", f"abs:{power}"])
-            assert exc.value.code == 2
-            err = capsys.readouterr().err
+            assert main(["sphere", "polarize-check", "--grid", "8", "--rho",
+                         "0.3", "--psi", f"abs:{power}"]) == 2
+            err = assert_one_error_line(capsys)
             assert "abs_power requires p >= 1" in err
             assert "_psi" not in err
 
@@ -519,6 +547,73 @@ def test_readme_example_runs(capsys, tmp_path, monkeypatch, argv):
         assert lines.count(lines[0]) == 1
     else:
         assert json.loads(out)["command"] == " ".join(argv[:2])
+
+
+# What the sweep puts in place of one numeric flag of a README example.
+SWEEP_VALUES = ("0", "-1", "1", "2147483648", "nan", "inf", "", "word")
+# Valid counts that would run for hours, so the sweep leaves them out.
+SWEEP_SKIPPED = {("--trials", "2147483648"), ("--steps", "2147483648")}
+# Counts and sizes lowered while the sweep replaces a different flag of the
+# same example, which keeps the sweep near 2 s: the argv still does the
+# same kind of work, with fewer trials, steps or points, or in 100 rather
+# than 1000 dimensions.
+SWEEP_LOWERED = {("taylor", "--trials"): "2",
+                 ("polarize-check", "--trials"): "2",
+                 ("rearrange", "--steps"): "5",
+                 ("mc", "--points"): "20",
+                 ("lex-failure", "--n"): "100"}
+
+
+def _is_numeric(value: str) -> bool:
+    try:
+        for tok in value.split(","):
+            float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+def _mutations(argv: list) -> list:
+    """Each argv with one numeric flag's value replaced by one value of
+    SWEEP_VALUES, its other flags lowered per SWEEP_LOWERED."""
+    flags = [i for i in range(len(argv) - 1) if argv[i].startswith("--")
+             and _is_numeric(argv[i + 1])]
+    out = []
+    for i in flags:
+        base = list(argv)
+        for j in flags:
+            if j != i:
+                base[j + 1] = SWEEP_LOWERED.get((argv[1], argv[j]),
+                                                argv[j + 1])
+        for value in SWEEP_VALUES:
+            if (argv[i], value) not in SWEEP_SKIPPED:
+                out.append(base[:i + 1] + [value] + base[i + 2:])
+    return out
+
+
+@pytest.mark.parametrize("example", README_EXAMPLES,
+                         ids=[" ".join(a[:2]) for a in README_EXAMPLES])
+def test_readme_example_mutations_exit_cleanly(capsys, tmp_path, monkeypatch,
+                                               example):
+    """Every numeric flag of a README example, set to each SWEEP_VALUES
+    value in turn: exit 0 or 1 with a record on stdout, or exit 2 with one
+    ``mostinf: error:`` line on stderr and nothing on stdout; never an
+    exception out of ``main``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table.tt").write_text("n=3 conv=zero_one\n01101001\n")
+    argvs = _mutations(example)
+    assert argvs
+    for argv in argvs:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "" and err.startswith("mostinf: error: "), argv
+            assert len(err.splitlines()) == 1, (argv, err)
+        elif "csv" in argv:
+            assert out.splitlines()[0].count(",") >= 1, argv
+        else:
+            assert json.loads(out)["command"] == " ".join(argv[:2]), argv
 
 
 def test_cli_stays_thin():

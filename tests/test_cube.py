@@ -501,6 +501,16 @@ class TestSymmetricFastPath:
         with pytest.raises(ValueError):
             symmetric_mi(prof, 0.2)
 
+    @pytest.mark.parametrize("alpha", [math.nan, 1.5, -0.1])
+    def test_bad_flip_probability_rejected(self, alpha):
+        for call in (lambda: mutual_information_direct(dictator(3, 1), alpha),
+                     lambda: perfect_code_mi(alpha),
+                     lambda: symmetric_mi(
+                         SymmetricProfile(3, np.ones(4)), alpha)):
+            with pytest.raises(ValueError,
+                               match=r"flip probability .* outside"):
+                call()
+
 
 class TestBallWeight:
     def test_maj3_value(self):

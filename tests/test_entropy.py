@@ -57,6 +57,17 @@ class TestBinaryEntropy:
         with pytest.raises(ValueError):
             binary_entropy(bad)
 
+    def test_nan_rejected_and_named_on_one_line(self):
+        # h(nan) once read 0.0, and an array's message was its multi-line
+        # repr; the message names the first value outside [0, 1].
+        beta = np.full((40, 40), 0.5)
+        beta[3, 7], beta[9, 1] = math.nan, 2.0
+        for bad in (math.nan, beta):
+            with pytest.raises(ValueError) as exc:
+                binary_entropy(bad)
+            assert str(exc.value) == \
+                "binary_entropy: bias outside [0, 1]: nan"
+
     def test_mirror_symmetry(self):
         b = np.linspace(0.0, 1.0, 101)
         np.testing.assert_allclose(binary_entropy(b), binary_entropy(1 - b),

@@ -16,6 +16,7 @@ from mostinf.gauss import (
     a_factor,
     decomposition_integral_check,
     factor_check,
+    kernel_limit_check,
     log_sphere_area,
     mehler_kernel,
     neg_cond_entropy,
@@ -409,6 +410,22 @@ class TestBigSphereKernel:
             errs.append(abs(val - ref) / ref)
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 0.05
+
+    def test_kernel_limit_checks_every_pair_before_drawing(self, monkeypatch):
+        # At n = 2^31 the draws alone would take 32 GiB; the pair with N = 50
+        # is rejected first.
+        def rng(*args):
+            raise AssertionError("y and z drawn for a rejected (N, n)")
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        for n in (1 << 31, 10000):
+            with pytest.raises(ValueError, match="positive radius"):
+                kernel_limit_check(n, 0.5, [2 * n, 50], seed=0)
+
+    def test_kernel_limit_overflow_is_a_value_error(self):
+        # (1 - rho^2)^(-n/2) exceeds the largest float past n = 4934 at
+        # rho = 0.5.
+        with pytest.raises(ValueError, match="overflows"):
+            kernel_limit_check(10000, 0.5, [2000000], seed=0)
 
     def test_exponential_form_of_a_power(self):
         y = np.array([0.5, 0.0])

@@ -1,6 +1,7 @@
 """Exhaustive scans, orbit invariance, and the ball-versus-AND comparison."""
 
 import json
+import math
 import types
 
 import numpy as np
@@ -216,6 +217,23 @@ class TestExhaustiveVerify:
             exhaustive_verify(1, 0.3)
         with pytest.raises(ValueError):
             exhaustive_verify(6, 0.3)
+
+    @pytest.mark.parametrize("alpha", [math.nan, 1.5, -0.1])
+    @pytest.mark.parametrize("scan", [
+        lambda alpha: search.verify_check(3, alpha),
+        lambda alpha: exhaustive_verify(3, alpha),
+        lambda alpha: fixed_mean_max(3, 4, alpha)],
+        ids=["verify_check", "exhaustive_verify", "fixed_mean_max"])
+    def test_bad_flip_probability_rejected_before_any_kernel(
+            self, monkeypatch, scan, alpha):
+        # A nan flip probability once certified the dictator bound, since
+        # h(nan) read 0; 1.5 failed with an unnamed math domain error.
+        def kernel(*args):
+            raise AssertionError("kernel built for a rejected alpha")
+        monkeypatch.setattr(search, "_kernel_terms", kernel)
+        with pytest.raises(ValueError,
+                           match=r"flip probability .* outside \[0, 1\]"):
+            scan(alpha)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 0.37, 0.5])
