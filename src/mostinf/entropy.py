@@ -172,6 +172,8 @@ class PsiSpec:
         v = np.asarray(t, dtype=float)
         if self.kind == "neg_binary_entropy":
             out = -binary_entropy(v)
+        elif self.power == 2.0:
+            out = v * v     # bit for bit np.abs(v) ** 2.0, with less work
         else:
             out = np.abs(v) ** self.power
         if np.isscalar(t) or np.ndim(t) == 0:

@@ -48,6 +48,13 @@ __all__ = [
 ]
 
 _QUAD_LIMIT = 10.0
+# random_interval_union draws at most this many pieces (a 65,536-piece
+# halfspace_check took 6.8 s and 89 MiB on a shared 2-core x86 host), and
+# factor_check at most this many coordinates in one Monte Carlo draw of
+# ``samples`` points in R^N (32 MiB of floats), each checked before
+# anything is drawn.
+MAX_PIECES = 1 << 16
+MAX_SAMPLE_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -98,8 +105,9 @@ def random_interval_union(mu: float, pieces: int, rng) -> GaussianSetSpec:
     measure ``mu``, built by splitting quantile space."""
     if not 0.0 < mu < 1.0:
         raise ValueError("measure must be in (0, 1)")
-    if pieces < 1:
-        raise ValueError(f"pieces={pieces} must be >= 1")
+    if not 1 <= pieces <= MAX_PIECES:
+        raise ValueError(f"pieces={pieces} must be in 1..MAX_PIECES = "
+                         f"{MAX_PIECES}")
     lengths = rng.dirichlet(np.ones(pieces)) * mu
     gaps = rng.dirichlet(np.ones(pieces + 1)) * (1.0 - mu)
     # Gap, piece, gap, piece, ...: the running sum gives each piece's ends.
@@ -498,6 +506,10 @@ def factor_check(params: LimitParams, rho: float, trials: int, samples: int,
     if math.log(samples) + 2.0 * log_peak > math.log(np.finfo(float).max):
         raise ValueError(f"N = {N} overflows the decomposition check's sums "
                          f"of squares at n = {n} and {samples} samples")
+    if samples * N > MAX_SAMPLE_ENTRIES:
+        raise ValueError(f"{samples} samples in R^{N} need a {samples} x {N} "
+                         f"draw; it may hold at most MAX_SAMPLE_ENTRIES = "
+                         f"{MAX_SAMPLE_ENTRIES} entries")
     worst_rel = 0.0
     for _ in range(trials):
         y, z = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)

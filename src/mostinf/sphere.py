@@ -6,11 +6,12 @@ inequality hold to float precision.  Higher-dimensional spheres use
 Monte Carlo point sets: a half and its mirror image across one hyperplane.
 
 Every point set's mirror 0, sigma, has an index map P, an
-involution.  Since sigma is self-adjoint, K(<p_P(r), p_j>) = K(<p_r, p_P(j)>),
-so the kernel's rows on R = {i : i <= P[i]} determine the rest: with
-T = K[R, :], (Kw)[R] = T @ w and (Kw)[P[R]] = T @ w[P].  A point set caches
-only T, which is M/2 rows for a sample (P the half swap) and for a circle
-grid (P the axis l = 1, which maps j to 1 - j and fixes no point).
+involution.  Since sigma is self-adjoint, K(<p_P(r), p_s>) = K(<p_r, p_P(s)>),
+so on R = {i : i <= P[i]}, M/2 points for a sample (P the half swap) and
+for a circle grid (P the axis l = 1, which maps j to 1 - j), the blocks
+A = K[R, R] and B = K[R, P[R]] are symmetric and hold the whole kernel.
+Smoothing evaluates [A | B] one tile at a time, each pair of row blocks of
+R once, and no point set stores a kernel.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-9
-# mc_check rejects a sample of more coordinates, or a half kernel of more
-# entries, and circle_grid mirror maps of more entries, than this (256 MiB
-# of floats) before it allocates any of them.
+# mc_check rejects a sample of more coordinates (256 MiB of floats), or of
+# more kernel pairs M/2 x M, which bound the kernel entries it evaluates,
+# and circle_grid mirror maps of more entries, than this before it
+# allocates any of them.
 MC_MAX_ENTRIES = 1 << 25
 # The stacked checks evaluate at most this many field entries at a time.
 _BLOCK = 1 << 16
@@ -91,8 +93,7 @@ class SpherePointSet:
                 raise ValueError("mirror map is not an involution")
         first = self.partners[0].astype(np.intp) if len(normals) else ident
         rows = np.flatnonzero(ident <= first)
-        self._half = (rows, first[rows], first)     # R, P[R], P
-        self._kernel_cache: dict = {}
+        self._half = (rows, first[rows])     # R, P[R]
         self._pole_sides: dict = {}
 
     @property
@@ -102,18 +103,21 @@ class SpherePointSet:
     def polar_angles(self) -> np.ndarray:
         return np.arccos(np.clip(self._height, -1.0, 1.0))
 
-    def kernel_matrix(self, kernel: "KernelSpec") -> np.ndarray:
-        """T = K[R, :], the kernel's rows on R = {i : i <= P[i]}, one point
-        of each pair of the first mirror's map P (all rows if there is no
-        mirror); ``kernel_apply`` gets the rows P[R] from
-        K(<p_P(r), p_j>) = K(<p_r, p_P(j)>).  Cached."""
-        if kernel not in self._kernel_cache:
-            if kernel.dim != self.n:
-                raise ValueError(f"a kernel on the sphere in R^{kernel.dim} "
-                                 f"cannot smooth points in R^{self.n}")
-            gram = self.points[self._half[0]] @ self.points.T
-            self._kernel_cache[kernel] = kernel._evaluate_owned(gram)
-        return self._kernel_cache[kernel]
+    def kernel_matrix(self, kernel: "KernelSpec", a: slice, b: slice,
+                      out: np.ndarray) -> np.ndarray:
+        """The tile [K[R_a, R_b] | K[R_a, P[R_b]]] of the row blocks a and
+        b of R = {i : i <= P[i]}, one point of each pair of the first
+        mirror's map P (all points if there is no mirror), evaluated into
+        the leading entries of the flat float buffer ``out``: a view."""
+        if kernel.dim != self.n:
+            raise ValueError(f"a kernel on the sphere in R^{kernel.dim} "
+                             f"cannot smooth points in R^{self.n}")
+        rows, mirrored = self._half
+        left = self.points[rows[a]]
+        right = self.points[np.concatenate([rows[b], mirrored[b]])]
+        tile = out[:len(left) * len(right)].reshape(len(left), len(right))
+        np.matmul(left, right.T, out=tile)
+        return kernel._evaluate_owned(tile)
 
 
 @dataclass
@@ -260,17 +264,42 @@ def _polarized(ps: SpherePointSet, values: np.ndarray, k) -> np.ndarray:
 
 def _smoothed(kernel: KernelSpec, ps: SpherePointSet,
               values: np.ndarray) -> np.ndarray:
-    """K applied to each field of ``values`` (..., M): (Kf)[R] = T @ wf and
-    (Kf)[P[R]] = T @ wf[P] (see ``kernel_matrix``), two matrix-vector
-    products per field, so no field's result depends on its stack."""
-    rows, mirrored, partner = ps._half
-    half = ps.kernel_matrix(kernel)
-    wf = (ps.weights * values).reshape(-1, ps.size)
-    out = np.empty(wf.shape)
-    for kf, w in zip(out, wf):
-        # A fixed point i = P[i] lies in both R and P[R]; its row is T @ w.
-        kf[mirrored] = np.dot(half, w[partner])
-        kf[rows] = np.dot(half, w)
+    """K applied to each field of ``values`` (..., M), one tile of
+    ``kernel_matrix`` at a time.  For a weighted field w, x = w[R] and
+    y = w[P[R]], (Kw)[R] = A x + B y' and (Kw)[P[R]] = A y + B x', where
+    x' and y' read 0 at a fixed point r = P[r], whose column is among R
+    already.  The tile of row blocks a <= b adds [A_ab | B_ab] times
+    [x_b y_b; y'_b x'_b] to the rows a and, A and B being symmetric, its
+    transpose's product to the rows b.  Each product is one BLAS call per
+    field, in one order for every field, so no field's result depends on
+    its stack."""
+    rows, mirrored = ps._half
+    n, m = rows.size, ps.size
+    w = np.zeros((np.size(values) // m, m + 1))    # column M reads 0
+    w[:, :m] = ps.weights * np.reshape(values, (-1, m))
+    fixed = rows == mirrored
+    pairs = w[:, np.stack([rows, mirrored, np.where(fixed, m, mirrored),
+                           np.where(fixed, m, rows)], -1).reshape(n, 2, 2)]
+    step = math.isqrt(_BLOCK // 2)    # a tile holds at most _BLOCK entries
+    blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
+    # The weights of a column block b as [x_b y_b; y'_b x'_b] (stacked),
+    # and of a row block a in the row order of its tiles reshaped to
+    # (2 n_a, n_b): x_r y_r, then y'_r x'_r, for each r (interleaved).
+    stacked = [pairs[:, a].swapaxes(1, 2).reshape(len(w), -1, 2)
+               for a in blocks]
+    acc = np.zeros((len(w), n, 2))
+    buf = np.empty(min(_BLOCK, 2 * n * n))
+    for i, a in enumerate(blocks):
+        interleaved = pairs[:, a].reshape(len(w), -1, 2)
+        for j in range(i, len(blocks)):
+            tile = ps.kernel_matrix(kernel, a, blocks[j], buf)
+            acc[:, a] += tile @ stacked[j]
+            if j > i:
+                acc[:, blocks[j]] += tile.reshape(
+                    -1, tile.shape[1] // 2).T @ interleaved
+    out = np.empty((len(w), m))
+    out[:, mirrored] = acc[..., 1]
+    out[:, rows] = acc[..., 0]      # a fixed point keeps its row's value
     return out.reshape(np.shape(values))
 
 
@@ -312,7 +341,7 @@ def polarize(f: SphericalField, k: int) -> SphericalField:
 
 
 def kernel_apply(kernel: KernelSpec, f: SphericalField) -> SphericalField:
-    """(Kf)_i = sum_j w_j K(<p_i, p_j>) f_j, from the kernel's stored rows."""
+    """(Kf)_i = sum_j w_j K(<p_i, p_j>) f_j, from the kernel's tiles."""
     return SphericalField(f.pointset, _smoothed(kernel, f.pointset, f.values),
                           check_range=False)
 
@@ -326,18 +355,21 @@ def functional_J(psi: PsiSpec, kernel: KernelSpec, f: SphericalField) -> float:
 def _reflection_checks(kernel: KernelSpec, ps: SpherePointSet,
                        values: np.ndarray, k, psi: PsiSpec | None = None):
     """The field ``values`` against its polarization across mirror k, or
-    each of the mirrors k: the largest deviation of
-    Kf(x) + Kf(sx) = Kf^s(x) + Kf^s(sx), the worst margin of
-    |Kf^s(x) - Kf^s(sx)| >= |Kf(x) - Kf(sx)|, and J(f), J(f^s) when
-    ``psi`` is given."""
+    each of the mirrors k, both smoothed in one call: the largest deviation
+    of Kf(x) + Kf(sx) = Kf^s(x) + Kf^s(sx), the worst margin of
+    |Kf^s(x) - Kf^s(sx)| >= |Kf(x) - Kf(sx)|, max |Kf| over f and f^s
+    (the scale of both), and J(f), J(f^s) when ``psi`` is given."""
     partner = ps.partners[k].astype(np.intp)
-    kf = _smoothed(kernel, ps, values)
-    kfs = _smoothed(kernel, ps, _polarized(ps, values, k))
+    polarized = _polarized(ps, values, k)
+    both = _smoothed(kernel, ps, np.vstack([values, polarized]))
+    kf, kfs = both[0], both[1:].reshape(polarized.shape)
     kfs_mirror = np.take_along_axis(kfs, partner, axis=-1)
     sum_dev = np.abs(kf + kf[partner] - kfs - kfs_mirror)
     diff_margin = np.abs(kfs - kfs_mirror) - np.abs(kf - kf[partner])
     out = {"max_sum_dev": np.max(sum_dev, axis=-1),
-           "min_diff_margin": np.min(diff_margin, axis=-1)}
+           "min_diff_margin": np.min(diff_margin, axis=-1),
+           "max_abs_kf": np.maximum(np.max(np.abs(kf)),
+                                    np.max(np.abs(kfs), axis=-1))}
     if psi is not None:
         out["j_before"] = _psi_sum(psi, kf, ps.weights)
         out["j_after"] = _psi_sum(psi, kfs, ps.weights)
@@ -405,13 +437,14 @@ def mc_check(dim: int, points: int, rho: float, seed: int) -> dict:
     """``polarization_inequality_check`` (Psi = t^2) of a random 0/1 field
     on ``sphere_sample(dim, points, seed)``, whose mean projection on the
     pole must also lie within 3/sqrt(points) of 0.  A sample of more than
-    ``MC_MAX_ENTRIES`` coordinates, or a half kernel of more entries, is
-    rejected before anything is allocated."""
+    ``MC_MAX_ENTRIES`` coordinates, or of more kernel pairs, is rejected
+    before anything is allocated.  ``max_abs_kf`` is the scale of the
+    absolute 1e-10 checks, whose verdict follows summation order."""
     if points > 0 and dim > 0 and max(points * dim, points // 2 * points) \
             > MC_MAX_ENTRIES:
         raise ValueError(
             f"{points} points in R^{dim} need a {points} x {dim} sample and "
-            f"a {points // 2} x {points} kernel; each may hold at most "
+            f"{points // 2} x {points} kernel pairs; each may hold at most "
             f"MC_MAX_ENTRIES = {MC_MAX_ENTRIES} entries")
     ps = sphere_sample(dim, points, seed)
     rng = np.random.default_rng(seed + 1)
@@ -422,7 +455,8 @@ def mc_check(dim: int, points: int, rho: float, seed: int) -> dict:
         res = polarization_inequality_check(
             f, 0, KernelSpec.poisson(rho, dim), PsiSpec.square())
     mean_proj = float(np.mean(ps._height))
-    keys = ("j_before", "j_after", "max_sum_dev", "min_diff_margin")
+    keys = ("j_before", "j_after", "max_sum_dev", "min_diff_margin",
+            "max_abs_kf")
     return {"weight_sum": float(np.sum(ps.weights)),
             "mean_pole_projection": mean_proj, **{k: res[k] for k in keys},
             "pass": bool(res["pass"] and res["max_sum_dev"] <= 1e-10

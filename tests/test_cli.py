@@ -348,6 +348,10 @@ class TestDispatchErrors:
          "--psi", "foo"],
         ["sphere", "polarize-check", "--grid", "16", "--rho", "0.3",
          "--psi", "abs:0.5"],
+        ["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5",
+         "--pieces", "2147483648"],
+        ["gauss", "factor-check", "--bigN", "9", "--n", "2",
+         "--samples", "2147483648"],
     ])
     def test_bad_input_exit_2_one_line(self, capsys, tmp_path, monkeypatch,
                                        argv):
@@ -473,7 +477,7 @@ _SCHEMA = [
     (["sphere", "mc", "--dim", "3", "--points", "100"],
      ["dim", "points", "rho"],
      ["weight_sum", "mean_pole_projection", "j_before", "j_after",
-      "max_sum_dev", "min_diff_margin"], True, "name,value"),
+      "max_sum_dev", "min_diff_margin", "max_abs_kf"], True, "name,value"),
     (["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5"],
      ["measure", "pieces", "rho"],
      ["set_measure", "neg_cond_entropy_set", "neg_cond_entropy_halfspace",

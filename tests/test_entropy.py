@@ -288,6 +288,27 @@ class TestPsiSpec:
             outer = psi(center - s_big) + psi(center + s_big)
             assert inner <= outer + 1e-12
 
+    def test_square_is_bit_equal_to_abs_pow(self):
+        # The square's v * v path gives the bits of |v| ** 2.0: random,
+        # negative, signed zero, subnormal, and huge values that overflow.
+        rng = np.random.default_rng(41)
+        tiny = np.finfo(float).tiny
+        values = np.concatenate([
+            rng.standard_normal(1000), -rng.uniform(0.0, 1e3, 200),
+            [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, 1e-160, -1.5e-162],
+            rng.uniform(-1.0, 1.0, 200) * tiny,
+            rng.uniform(-1.0, 1.0, 200) * 1e-155,
+            [1e154, -1.3407807929942596e154, 1.4e154, -1e200,
+             np.finfo(float).max, -np.inf, np.inf],
+            rng.uniform(-1.0, 1.0, 200) * 1e160])
+        psi = PsiSpec.square()
+        with np.errstate(over="ignore"):
+            want = np.abs(values) ** 2.0
+            assert psi(values).tobytes() == want.tobytes()
+            for v, w in zip(values.tolist(), want.tolist()):
+                assert np.float64(psi(v)).tobytes() == \
+                    np.float64(w).tobytes()
+
     def test_abs_power_rejects_small_exponent(self):
         with pytest.raises(ValueError):
             PsiSpec.abs_power(0.5)

@@ -9,6 +9,8 @@ from scipy.integrate import quad
 
 from mostinf.entropy import PsiSpec, binary_entropy, normal_pdf
 from mostinf.gauss import (
+    MAX_PIECES,
+    MAX_SAMPLE_ENTRIES,
     GaussianSetSpec,
     LimitParams,
     _check_rho,
@@ -101,6 +103,23 @@ class TestSetSpecs:
             with pytest.raises(ValueError, match=f"pieces={pieces} must"):
                 random_interval_union(0.5, pieces, rng)
         assert rng.random() == np.random.default_rng(1).random()
+
+    def test_random_union_rejects_too_many_pieces_before_drawing(
+            self, monkeypatch):
+        import mostinf.gauss as gauss_mod
+
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError("pieces drawn")
+        # Any use of numpy in the gauss module raises, so no array of the
+        # pieces can be made before the cap check.
+        monkeypatch.setattr(gauss_mod, "np", NoArrays())
+        rng = np.random.default_rng(1)
+        for pieces in (MAX_PIECES + 1, 2 ** 31):
+            with pytest.raises(ValueError, match=f"pieces={pieces} must"):
+                random_interval_union(0.5, pieces, rng)
+        with pytest.raises(AssertionError, match="pieces drawn"):
+            random_interval_union(0.5, MAX_PIECES, rng)
 
 
 class TestMehlerKernel:
@@ -476,6 +495,22 @@ class TestBigSphereKernel:
         with pytest.raises(ValueError, match="N = 243"):
             factor_check(LimitParams(N=243, n=2), 0.5, trials=1,
                          samples=20000, seed=0)
+
+    def test_factor_check_caps_its_draws_before_drawing(self, monkeypatch):
+        import mostinf.gauss as gauss_mod
+
+        def drawn(*args):
+            raise AssertionError("samples drawn")
+        monkeypatch.setattr(gauss_mod, "_uniform_ball", drawn)
+        monkeypatch.setattr(gauss_mod, "_uniform_sphere", drawn)
+        params = LimitParams(N=9, n=2)
+        for samples in (MAX_SAMPLE_ENTRIES // 9 + 1, 2 ** 31):
+            with pytest.raises(ValueError, match="MAX_SAMPLE_ENTRIES"):
+                factor_check(params, 0.5, trials=0, samples=samples, seed=0)
+        # 466,033 samples of 9 coordinates are within the cap.
+        with pytest.raises(AssertionError, match="samples drawn"):
+            factor_check(params, 0.5, trials=0,
+                         samples=MAX_SAMPLE_ENTRIES // 9, seed=0)
 
     @pytest.mark.parametrize("big_n, n", [(20, 12), (300, 290), (14, 6)])
     def test_factor_check_needs_the_trial_cube_inside_the_ball(self, big_n,

@@ -1,6 +1,7 @@
 """Spherical discretization: reflections, rearrangement, kernel inequalities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from mostinf.sphere import (
     KernelSpec,
     _BLOCK,
     _polarized,
+    _smoothed,
     SpherePointSet,
     SphericalField,
     circle_grid,
     functional_J,
     iterate_polarizations,
     kernel_apply,
+    mc_check,
     polarization_check,
     polarization_inequality_check,
     polarization_pointwise_check,
@@ -570,8 +573,8 @@ class TestSphericalMI:
 
 
 def kernel_formula(kernel, inner):
-    """The Poisson kernel at the inner products ``inner``, as the stored
-    kernel rows must hold it: sq = ||x - rho y||^2 raised to dim // 2 by
+    """The Poisson kernel at the inner products ``inner``, as the kernel
+    tiles must hold it: sq = ||x - rho y||^2 raised to dim // 2 by
     left-to-right repeated squaring, times sqrt(sq) for an odd dim, then
     a reciprocal and the (1 - rho^2) scale."""
     s = np.asarray(inner, dtype=float)
@@ -593,6 +596,14 @@ def dense_kernel(kernel, ps):
     return kernel_formula(kernel, ps.points @ ps.points.T)
 
 
+def half_rows(ps):
+    """R = {i : i <= P[i]} and P[R] for the first mirror's map P, or the
+    identity if the point set has no mirror."""
+    first = ps.partners[0] if len(ps.reflections) else np.arange(ps.size)
+    rows = np.flatnonzero(np.arange(ps.size) <= first)
+    return rows, first[rows]
+
+
 def fixed_point_circle(m=16):
     """The M-point circle whose only mirror is the axis at 2 pi / M, which
     maps j to 2 - j and fixes points 1 and 1 + M/2."""
@@ -608,16 +619,41 @@ HALF_KERNEL_SETS = (
      for d in (3, 4, 7) for m in (2, 10, 300)]
     + [(f"grid-{m}", lambda m=m: circle_grid(m)) for m in (8, 64, 256)]
     + [("fixed-points", fixed_point_circle)])
+# These span more than one row block of R in ``_smoothed``, so the tiles'
+# transposes smooth some of their rows; the fixed points of the 400-circle,
+# 1 and 201, lie in different blocks.  They join the high-rho test only: at
+# rho 0.2 a 1000-term product strays from the dense oracle by about the
+# flat 1e-15 bound itself, with a stored kernel as with tiles (1.09 of it
+# for both on sample-4-1000).
+MULTI_BLOCK_SETS = (
+    [("sample-4-1000", lambda: sphere_sample(4, 1000, seed=1004)),
+     ("grid-512", lambda: circle_grid(512)),
+     ("fixed-points-400", lambda: fixed_point_circle(400))])
 
 
 class TestHalfKernel:
-    """The point set stores the kernel's rows R = {i : i <= P[i]} of its
-    first mirror's map P; kernel_apply must equal the dense product."""
+    """The kernel's blocks A = K[R, R] and B = K[R, P[R]], for the rows
+    R = {i : i <= P[i]} of the first mirror's map P, hold the whole kernel;
+    ``kernel_matrix`` evaluates a tile [A_ab | B_ab] of them, and
+    kernel_apply must equal the dense product."""
 
     @staticmethod
     def fields(ps, rng):
         return ([rng.integers(0, 2, ps.size).astype(float) for _ in range(3)]
                 + [rng.uniform(0.0, 1.0, ps.size) for _ in range(3)])
+
+    @staticmethod
+    def tiles(ps, kernel):
+        """Every tile of 61-row blocks of R, a <= b or not, each with the
+        dense oracle's entries at its rows and columns."""
+        rows, mirrored = half_rows(ps)
+        dense = dense_kernel(kernel, ps)
+        blocks = [slice(lo, lo + 61) for lo in range(0, rows.size, 61)]
+        for a in blocks:
+            for b in blocks:
+                got = ps.kernel_matrix(kernel, a, b, np.empty(_BLOCK))
+                cols = np.concatenate([rows[b], mirrored[b]])
+                yield got, dense[np.ix_(rows[a], cols)]
 
     @pytest.mark.parametrize("name,build", HALF_KERNEL_SETS,
                              ids=[n for n, _ in HALF_KERNEL_SETS])
@@ -625,50 +661,112 @@ class TestHalfKernel:
     def test_matches_dense_oracle(self, name, build, rho):
         ps = build()
         rng = np.random.default_rng(31)
-        rows = np.flatnonzero(
-            np.arange(ps.size) <= ps.partners[0])
         kernel = KernelSpec.poisson(rho, ps.n)
+        pairs = list(self.tiles(ps, kernel))
+        assert max(np.max(np.abs(got - want)) for got, want in pairs) \
+            <= 1e-15 * max(np.max(np.abs(want)) for _, want in pairs), name
         dense = dense_kernel(kernel, ps)
-        assert np.max(np.abs(ps.kernel_matrix(kernel) - dense[rows])) \
-            <= 1e-15 * np.max(np.abs(dense[rows])), name
         for values in self.fields(ps, rng):
             want = dense @ (ps.weights * values)
             got = kernel_apply(kernel, SphericalField(ps, values)).values
             assert np.max(np.abs(got - want)) <= \
                 1e-15 * np.max(np.abs(want)), name
 
-    @pytest.mark.parametrize("name,build", HALF_KERNEL_SETS,
-                             ids=[n for n, _ in HALF_KERNEL_SETS])
+    @pytest.mark.parametrize(
+        "name,build", HALF_KERNEL_SETS + MULTI_BLOCK_SETS,
+        ids=[n for n, _ in HALF_KERNEL_SETS + MULTI_BLOCK_SETS])
     @pytest.mark.parametrize("rho", [0.5, 0.9])
     def test_matches_dense_oracle_at_high_rho(self, name, build, rho):
-        # The stored rows take their inner products from an |R| x M product,
-        # the oracle from an M x M one, and the two may round an entry
-        # differently (at most n eps for unit vectors in R^n).  The Poisson
-        # kernel's relative slope d rho / ||x - rho y||^2 <= d rho / (1 -
-        # rho)^2 carries that rounding into the entries.
+        # A tile takes its inner products from a product of its own rows
+        # and columns, the oracle from an M x M one, and the two may round
+        # an entry differently (at most n eps for unit vectors in R^n).
+        # The Poisson kernel's relative slope
+        # d rho / ||x - rho y||^2 <= d rho / (1 - rho)^2 carries that
+        # rounding into the entries.
         ps = build()
         rng = np.random.default_rng(32)
         kernel = KernelSpec.poisson(rho, ps.n)
         tol = 1e-15 + ps.n * rho / (1.0 - rho) ** 2 * ps.n * 2.0 ** -52
-        rows = np.flatnonzero(
-            np.arange(ps.size) <= ps.partners[0])
+        for got, want in self.tiles(ps, kernel):
+            np.testing.assert_allclose(got, want, rtol=tol, atol=0.0)
         dense = dense_kernel(kernel, ps)
-        np.testing.assert_allclose(ps.kernel_matrix(kernel), dense[rows],
-                                   rtol=tol, atol=0.0)
         for values in self.fields(ps, rng):
             want = dense @ (ps.weights * values)
             got = kernel_apply(kernel, SphericalField(ps, values)).values
             assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
-    def test_half_of_the_rows_are_stored(self):
-        # A return to the dense M x M kernel fails here.
-        kernel = KernelSpec.poisson(0.5, 4)
-        assert sphere_sample(4, 2000, 0).kernel_matrix(kernel).shape == \
-            (1000, 2000)
-        circle = KernelSpec.poisson(0.5, 2)
-        assert circle_grid(64).kernel_matrix(circle).shape == (32, 64)
-        # Points 1 and 9 are their own pairs and keep their rows.
-        assert fixed_point_circle(16).kernel_matrix(circle).shape == (9, 16)
+    def test_no_kernel_is_stored(self, monkeypatch):
+        # A return to a stored kernel fails here: the 1000 x 2000 half
+        # kernel of mc_check(4, 2000, ...) alone takes 16 MB.
+        tracemalloc.start()
+        try:
+            mc_check(4, 2000, 0.5, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        # Each unordered pair of row blocks is one tile, so the entries
+        # evaluated are n^2 + sum n_a^2 over the n = |R| rows, not 2 n^2.
+        seen = []
+        evaluate = SpherePointSet.kernel_matrix
+
+        def counted(ps, kernel, a, b, out):
+            tile = evaluate(ps, kernel, a, b, out)
+            seen.append((a, tile.size))
+            return tile
+        monkeypatch.setattr(SpherePointSet, "kernel_matrix", counted)
+        for ps in (sphere_sample(4, 2000, 0), circle_grid(1024),
+                   fixed_point_circle(400)):
+            seen.clear()
+            kernel_apply(KernelSpec.poisson(0.5, ps.n),
+                         SphericalField(ps, np.ones(ps.size)))
+            n = half_rows(ps)[0].size
+            blocks = sorted({(a.start, a.stop) for a, _ in seen})
+            assert len(blocks) > 1
+            spans = [min(hi, n) - lo for lo, hi in blocks]
+            assert sum(spans) == n
+            assert [lo for lo, _ in blocks] == np.cumsum([0] + spans[:-1]) \
+                .tolist()
+            assert max(size for _, size in seen) <= _BLOCK
+            assert sum(size for _, size in seen) <= \
+                n * n + sum(s * s for s in spans)
+
+    def test_stacked_fields_match_lone_fields_on_a_sample(self):
+        # 500 rows of R span three row blocks.  A field's smoothing, and
+        # so its checks, must not depend on what it is stacked with.
+        ps = sphere_sample(4, 1000, seed=9)
+        rng = np.random.default_rng(36)
+        kernel = KernelSpec.poisson(0.8, 4)
+        values = np.vstack([rng.integers(0, 2, (3, 1000)).astype(float),
+                            rng.uniform(0.0, 1.0, (4, 1000))])
+        lone = np.array([_smoothed(kernel, ps, v) for v in values])
+        for count in (2, 5, 7):
+            assert np.array_equal(_smoothed(kernel, ps, values[:count]),
+                                  lone[:count])
+        psi = PsiSpec.square()
+        for v in values:
+            f = SphericalField(ps, v)
+            res = polarization_inequality_check(f, 0, kernel, psi)
+            polar = polarize(f, 0)
+            assert res["j_before"] == functional_J(psi, kernel, f)
+            assert res["j_after"] == functional_J(psi, kernel, polar)
+            assert res["max_abs_kf"] == max(
+                np.max(np.abs(kernel_apply(kernel, f).values)),
+                np.max(np.abs(kernel_apply(kernel, polar).values)))
+
+    def test_mc_max_abs_kf_matches_dense_oracle(self):
+        # max |Kf| over f and f^s, the scale of mc's absolute checks.
+        dim, points, rho, seed = 3, 40, 0.5, 5
+        res = mc_check(dim, points, rho, seed)
+        ps = sphere_sample(dim, points, seed)
+        rng = np.random.default_rng(seed + 1)
+        f = SphericalField(ps, rng.integers(0, 2, points).astype(float))
+        dense = dense_kernel(KernelSpec.poisson(rho, dim), ps)
+        want = max(np.max(np.abs(dense @ (ps.weights * g.values)))
+                   for g in (f, polarize(f, 0)))
+        tol = 1e-15 + dim * rho / (1.0 - rho) ** 2 * dim * 2.0 ** -52
+        assert abs(res["max_abs_kf"] - want) <= tol * want
+        assert 0.5 < want < 2.0
 
     def test_map_that_is_not_an_involution_rejected(self):
         # Point 8 duplicates point 0, so the axis at pi / 8 sends both to
@@ -688,16 +786,21 @@ class TestKernelEvaluate:
         KernelSpec.poisson(0.7, 4), KernelSpec.poisson(0.5, 7)],
         ids=lambda k: f"poisson-{k.rho}-{k.dim}")
     def test_bit_equal_and_input_untouched(self, kernel):
-        # The stored rows are the formula at the points' inner products,
-        # bit for bit, and building them leaves the points as they were.
+        # A tile is the formula at its rows' and columns' inner products,
+        # bit for bit, and evaluating it leaves the points as they were.
+        # With no mirror, R is every point and P[R] = R.
         rng = np.random.default_rng(34)
         points = rng.standard_normal((11, kernel.dim))
         points /= np.linalg.norm(points, axis=1, keepdims=True)
         kept = points.copy()
         ps = SpherePointSet(points, [], [])
-        got = ps.kernel_matrix(kernel)
-        assert np.array_equal(ps.points, kept)
-        assert np.array_equal(got, kernel_formula(kernel, kept @ kept.T))
+        for a, b in ((slice(0, 11), slice(0, 11)), (slice(2, 7),
+                                                    slice(4, 11))):
+            got = ps.kernel_matrix(kernel, a, b, np.empty(_BLOCK))
+            assert np.array_equal(ps.points, kept)
+            cols = np.r_[np.arange(11)[b], np.arange(11)[b]]
+            assert np.array_equal(got, kernel_formula(
+                kernel, kept[a] @ kept[cols].T))
 
     @pytest.mark.parametrize("dim", [*range(2, 21), 32, 64, 200])
     def test_within_dim_ulps_of_pow(self, dim):
