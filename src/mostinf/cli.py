@@ -50,16 +50,18 @@ def _alpha(value: str) -> float:
     return a
 
 
-def _spec(text: str | None) -> list | None:
-    """--spec: None when absent, else JSON that must be a list of [a, b]
-    pairs (``null`` is no list)."""
-    if text is None:
-        return None
-    spec = json.loads(text)
+def _spec(text: str) -> list:
+    """--spec: JSON that must be a list of [a, b] pairs of numbers."""
+    try:
+        spec = json.loads(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if not isinstance(spec, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in spec):
-        raise ValueError(f"--spec must be a JSON list of [a, b] pairs, "
-                         f"got {text!r}")
+            isinstance(pair, list) and len(pair) == 2
+            and all(type(x) in (int, float) for x in pair)  # no true/false
+            for pair in spec):
+        raise argparse.ArgumentTypeError(
+            f"must be a JSON list of [a, b] pairs of numbers, got {text!r}")
     return spec
 
 
@@ -252,14 +254,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = g.add_parser("halfspace-vs", parents=[common])
     p.add_argument("--measure", type=float, required=True)
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--spec", default=None)
+    p.add_argument("--spec", type=_spec, default=None)
     p.add_argument("--pieces", type=int, default=3)
+    # A --spec union leaves --measure and --pieces unread.
     p.set_defaults(
-        params=lambda a: {
-            "measure": a.measure, "rho": a.rho, "pieces": a.pieces,
-            **({} if a.spec is None else {"spec": _spec(a.spec)})},
+        params=lambda a: {"measure": a.measure, "pieces": a.pieces,
+                          "rho": a.rho} if a.spec is None
+        else {"rho": a.rho, "spec": a.spec},
         call=lambda a: gauss.halfspace_check(
-            a.measure, a.rho, a.pieces, a.seed, _spec(a.spec)))
+            a.measure, a.rho, a.pieces, a.seed, a.spec))
     p = g.add_parser("kernel-limit", parents=[common])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rho", type=float, required=True)

@@ -484,8 +484,8 @@ def symmetric_mi(profile: SymmetricProfile, alpha: float) -> float:
 
 def hamming_ball_w1_exact(n: int, r: int) -> float:
     """Degree-1 Fourier weight of the full-level ball 0..r: n*(2^-n*C(n-1,r))^2."""
-    if not 1 <= r < n:
-        raise ValueError(f"radius {r} outside 1..{n - 1}")
+    if not 0 <= r < n:
+        raise ValueError(f"radius {r} outside 0..{n - 1}")
     if n > 2000:
         raise ValueError("level range capped at n = 2000")
     log_coeff = _log_binom(n - 1, r) - n * _LN2

@@ -4,6 +4,7 @@ The circle uses an exact uniform grid whose supported reflections map grid
 points to grid points, so the two-point identities behind the polarization
 inequality hold to float precision.  Higher-dimensional spheres use
 Monte Carlo point sets: a half and its mirror image across one hyperplane.
+A field holds any real values; psi's domain is checked where psi is applied.
 
 Every point set's mirror 0, sigma, has an index map P, an
 involution.  Since sigma is self-adjoint, K(<p_P(r), p_s>) = K(<p_r, p_P(s)>),
@@ -30,7 +31,6 @@ __all__ = [
     "circle_grid",
     "sphere_sample",
     "rearrange",
-    "polarize",
     "kernel_apply",
     "functional_J",
     "polarization_inequality_check",
@@ -94,7 +94,6 @@ class SpherePointSet:
         first = self.partners[0].astype(np.intp) if len(normals) else ident
         rows = np.flatnonzero(ident <= first)
         self._half = (rows, first[rows])     # R, P[R]
-        self._pole_sides: dict = {}
 
     @property
     def size(self) -> int:
@@ -126,15 +125,11 @@ class SphericalField:
 
     pointset: SpherePointSet
     values: np.ndarray
-    check_range: bool = True
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.pointset.size,):
             raise ValueError("value count does not match point count")
-        if self.check_range and (self.values.min() < -1e-12
-                                 or self.values.max() > 1.0 + 1e-12):
-            raise ValueError("field values outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -158,8 +153,7 @@ class KernelSpec:
 
     def _evaluate_owned(self, s: np.ndarray) -> np.ndarray:
         """The kernel at the inner products ``s``, a C-contiguous float
-        array the caller owns: the formula overwrites ``s``, ``_BLOCK``
-        entries at a time, and returns it.
+        array the caller owns: the formula overwrites ``s`` and returns it.
 
         ||x - rho y||^dim comes from correctly rounded operations only, so
         no entry depends on which SIMD ``pow`` numpy dispatches: q^(dim//2)
@@ -169,26 +163,19 @@ class KernelSpec:
         rho, d = self.rho, self.dim
         if not s.flags.c_contiguous:
             raise ValueError("kernel evaluation needs a contiguous array")
-        flat = s.reshape(-1)
         steps = bin(d // 2)[3:]       # the exponent's bits below its top
-        keep = d % 2 or "1" in steps  # whether q is needed after squaring
-        scratch = np.empty(min(flat.size, _BLOCK) if keep else 0)
-        for lo in range(0, flat.size, _BLOCK):
-            q = flat[lo:lo + _BLOCK]
-            # ||x - rho y||^2 = 1 + rho^2 - 2 rho <x,y>, >= (1 - rho)^2.
-            q *= 2.0 * rho
-            np.subtract(1.0 + rho ** 2, q, out=q)
-            base = scratch[:q.size]
-            if keep:
-                np.copyto(base, q)
-            for bit in steps:
-                q *= q
-                if bit == "1":
-                    q *= base
-            if d % 2:
-                q *= np.sqrt(base, out=base)
-            np.reciprocal(q, out=q)
-            q *= 1.0 - rho ** 2
+        # ||x - rho y||^2 = 1 + rho^2 - 2 rho <x,y>, >= (1 - rho)^2.
+        s *= 2.0 * rho
+        np.subtract(1.0 + rho ** 2, s, out=s)
+        q = s.copy() if d % 2 or "1" in steps else None
+        for bit in steps:
+            s *= s
+            if bit == "1":
+                s *= q
+        if d % 2:
+            s *= np.sqrt(q, out=q)
+        np.reciprocal(s, out=s)
+        s *= 1.0 - rho ** 2
         return s
 
 
@@ -244,19 +231,16 @@ def rearrange(f: SphericalField) -> SphericalField:
     order = np.lexsort((np.arange(ps.size), ps.polar_angles()))
     out = np.empty(ps.size)
     out[order] = np.sort(f.values)[::-1]
-    return SphericalField(ps, out, check_range=False)
+    return SphericalField(ps, out)
 
 
 def _polarized(ps: SpherePointSet, values: np.ndarray, k) -> np.ndarray:
-    """``polarize`` of the fields ``values`` (..., M) across mirror k, or of
-    one field (M,) across each of the mirrors k (B,) as (B, M).  A point is
-    on the pole's side exactly when it is higher than its mirror image; a
-    lone mirror's sides are cached on first use, a stack's are not."""
+    """Two-point rearrangement of the fields ``values`` (..., M) across
+    mirror k, or of one field (M,) across each of the mirrors k (B,) as
+    (B, M): the larger value of each pair moves to the pole side, where a
+    point is higher than its mirror image; a point on the plane is its own."""
     partner = ps.partners[k].astype(np.intp)
-    if not isinstance(k, int):
-        side = ps._height > ps._height[partner]
-    elif (side := ps._pole_sides.get(k)) is None:
-        side = ps._pole_sides[k] = ps._height > ps._height[partner]
+    side = ps._height > ps._height[partner]
     mirrored = values[..., partner]
     return np.where(side, np.maximum(values, mirrored),
                     np.minimum(values, mirrored))
@@ -332,18 +316,9 @@ def _mirror(ps: SpherePointSet, k: int) -> int:
     return k
 
 
-def polarize(f: SphericalField, k: int) -> SphericalField:
-    """Two-point rearrangement across mirror k: the larger value of each
-    pair moves to the pole side; a point on the hyperplane is its own pair."""
-    ps = f.pointset
-    return SphericalField(ps, _polarized(ps, f.values, _mirror(ps, k)),
-                          check_range=False)
-
-
 def kernel_apply(kernel: KernelSpec, f: SphericalField) -> SphericalField:
     """(Kf)_i = sum_j w_j K(<p_i, p_j>) f_j, from the kernel's tiles."""
-    return SphericalField(f.pointset, _smoothed(kernel, f.pointset, f.values),
-                          check_range=False)
+    return SphericalField(f.pointset, _smoothed(kernel, f.pointset, f.values))
 
 
 def functional_J(psi: PsiSpec, kernel: KernelSpec, f: SphericalField) -> float:
@@ -479,19 +454,20 @@ def iterate_polarizations(f: SphericalField, reflections_seed: int, steps: int,
         raise ValueError(f"step count {steps} is negative")
     target = rearrange(f).values
     rng = np.random.default_rng(reflections_seed)
-    current = f
+    current = f.values
     l1_trace, j_trace = [], []
     for ks in _blocks(steps + 1, ps.size):
         trace = np.empty((len(ks), ps.size))
         for i, step in enumerate(ks):
             if step:
-                current = polarize(current, ps.reflections[
+                current = _polarized(ps, current, ps.reflections[
                     rng.integers(len(ps.reflections))])
-            trace[i] = current.values
+            trace[i] = current
         l1_trace.append(np.sum(ps.weights * np.abs(trace - target), axis=-1))
         j_trace.append(_psi_sum(psi, _smoothed(kernel, ps, trace),
                                 ps.weights))
-    return {"final": current, "l1_to_rearranged": np.concatenate(l1_trace),
+    return {"final": SphericalField(ps, current),
+            "l1_to_rearranged": np.concatenate(l1_trace),
             "j_trace": np.concatenate(j_trace)}
 
 

@@ -137,6 +137,16 @@ class TestBooleanCommands:
         metrics = {m["name"]: m["value"] for m in obj["results"]}
         assert metrics["ball_wins"] is True
 
+    @pytest.mark.parametrize("k,n,alpha", [("3", "3", "0"),
+                                           ("1", "1", "0.2")])
+    def test_lex_failure_with_n_at_k(self, capsys, k, n, alpha):
+        # Mean 2^-k on n = k bits is the one-point ball, of radius 0.
+        code, obj = run_json(capsys, "boolean", "lex-failure", "--k", k,
+                             "--n", n, "--alpha", alpha)
+        assert code == 0
+        metrics = {m["name"]: m["value"] for m in obj["results"]}
+        assert metrics["w1_ball"] == pytest.approx(int(n) * 4.0 ** -int(n))
+
     def test_taylor(self, capsys):
         code, obj = run_json(capsys, "boolean", "taylor", "--n", "6",
                              "--trials", "25", "--seed", "2")
@@ -220,6 +230,15 @@ class TestGaussCommands:
         assert code == 0
         metrics = {m["name"]: m["value"] for m in obj["results"]}
         assert metrics["set_measure"] == pytest.approx(0.5, abs=1e-3)
+
+    def test_halfspace_vs_spec_ignores_the_measure(self, capsys):
+        # A --spec union reads neither --measure nor --pieces, so neither
+        # is checked or recorded.
+        code, obj = run_json(capsys, "gauss", "halfspace-vs", "--measure",
+                             "nan", "--rho", "0.5", "--spec",
+                             "[[-0.6745, 0.6745]]")
+        assert code == 0
+        assert sorted(obj["params"]) == ["rho", "spec"]
 
     def test_kernel_limit_pass_and_csv(self, capsys):
         code, obj = run_json(capsys, "gauss", "kernel-limit", "--n", "2",
@@ -352,6 +371,8 @@ class TestDispatchErrors:
          "--pieces", "2147483648"],
         ["gauss", "factor-check", "--bigN", "9", "--n", "2",
          "--samples", "2147483648"],
+        ["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5",
+         "--spec", "[[true, 2]]"],
     ])
     def test_bad_input_exit_2_one_line(self, capsys, tmp_path, monkeypatch,
                                        argv):
@@ -484,7 +505,7 @@ _SCHEMA = [
       "margin", "mi_set", "mi_halfspace"], True, "name,value"),
     (["gauss", "halfspace-vs", "--measure", "0.5", "--rho", "0.5", "--spec",
       "[[-2.0, -1.0], [0.5, 1.5]]"],
-     ["measure", "pieces", "rho", "spec"],
+     ["rho", "spec"],
      ["set_measure", "neg_cond_entropy_set", "neg_cond_entropy_halfspace",
       "margin", "mi_set", "mi_halfspace"], True, "name,value"),
     (["gauss", "kernel-limit", "--n", "2", "--rho", "0.5", "--bigN",

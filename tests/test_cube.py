@@ -531,11 +531,22 @@ class TestBallWeight:
         assert hamming_ball_w1_exact(3, 2) == pytest.approx(oracle, abs=1e-12)
         assert oracle == pytest.approx(3 / 64, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_one_point_ball(self, n):
+        # Radius 0 is the one-point ball, n 4^-n by brute force.
+        spec = fwht(hamming_ball(n, 1))
+        oracle = sum(spec[subset_mask([i], n)] ** 2
+                     for i in range(1, n + 1))
+        assert hamming_ball_w1_exact(n, 0) == pytest.approx(oracle,
+                                                           abs=1e-15)
+        assert oracle == n * 4.0 ** -n
+
     def test_range_errors(self):
         with pytest.raises(ValueError):
             hamming_ball_w1_exact(4000, 2000)
-        with pytest.raises(ValueError):
-            hamming_ball_w1_exact(10, 0)
+        for r in (-1, 10):
+            with pytest.raises(ValueError):
+                hamming_ball_w1_exact(10, r)
 
     def test_limit_toward_isoperimetric(self):
         from mostinf.entropy import gaussian_isoperimetric

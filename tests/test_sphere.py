@@ -10,6 +10,7 @@ from mostinf.entropy import PsiSpec, binary_entropy
 from mostinf.sphere import (
     KernelSpec,
     _BLOCK,
+    _mirror,
     _polarized,
     _smoothed,
     SpherePointSet,
@@ -22,7 +23,6 @@ from mostinf.sphere import (
     polarization_check,
     polarization_inequality_check,
     polarization_pointwise_check,
-    polarize,
     rearrange,
     sphere_sample,
 )
@@ -31,6 +31,13 @@ from test_entropy import TablePsi, psi_id
 
 def random_01_field(ps, rng):
     return SphericalField(ps, rng.integers(0, 2, ps.size).astype(float))
+
+
+def polarize(f, k):
+    """The field f polarized across mirror k, which must be one of its
+    point set's mirrors."""
+    ps = f.pointset
+    return SphericalField(ps, _polarized(ps, f.values, _mirror(ps, k)))
 
 
 def mirror_normals(ps):
@@ -253,21 +260,16 @@ class TestPolarize:
         out = polarize(SphericalField(ps, np.arange(8) == 1), 0)
         np.testing.assert_array_equal(out.values, np.arange(8) == 0)
 
-    def test_lone_mirror_sides_cached_on_first_use(self):
-        # A lone mirror reads its pole sides from a row cached on first
-        # use; a stack of mirrors computes them.  Both give the same bits,
-        # and only the mirrors used get a row.
+    def test_lone_mirror_matches_its_stacked_row(self):
+        # A lone mirror gives, bit for bit, its own row of a stack of
+        # mirrors, repeats included.
         g = circle_grid(64)
-        assert g._pole_sides == {}
         rng = np.random.default_rng(22)
         f = SphericalField(g, rng.uniform(0.0, 1.0, 64))
         used = [5, 17, 5, 40]
         stacked = _polarized(g, f.values, np.array(used))
         for k, want in zip(used, stacked):
-            np.testing.assert_array_equal(polarize(f, k).values, want)
-        assert sorted(g._pole_sides) == [5, 17, 40]
-        for row in g._pole_sides.values():
-            assert row.dtype == bool and row.shape == (64,)
+            np.testing.assert_array_equal(_polarized(g, f.values, k), want)
 
     def test_closure_required(self):
         # A sample supports one mirror only.
@@ -311,7 +313,7 @@ class TestKernelApply:
         theta = 2 * np.pi * np.arange(128) / 128
         rho = 0.6
         for k in (1, 2, 4):
-            f = SphericalField(g, np.cos(k * theta), check_range=False)
+            f = SphericalField(g, np.cos(k * theta))
             got = kernel_apply(KernelSpec.poisson(rho, 2), f).values
             np.testing.assert_allclose(got, rho ** k * np.cos(k * theta),
                                        atol=1e-10)
@@ -371,6 +373,19 @@ class TestFunctionalJ:
         with pytest.raises(ValueError):
             functional_J(PsiSpec.neg_binary_entropy(),
                          KernelSpec.poisson(0.9, 2), f)
+
+    def test_field_outside_the_unit_interval(self):
+        # A field holds any real values.  Psi = t^2 takes their smoothing,
+        # and Psi = -h rejects it where it is applied.
+        g = circle_grid(64)
+        f = SphericalField(g, np.random.default_rng(24).uniform(0.5, 2.5,
+                                                                64))
+        kernel = KernelSpec.poisson(0.5, 2)
+        for k in g.reflections:
+            assert polarization_inequality_check(f, k, kernel,
+                                                 PsiSpec.square())["pass"]
+        with pytest.raises(ValueError, match="escape psi's domain"):
+            functional_J(PsiSpec.neg_binary_entropy(), kernel, f)
 
 
 PSI_FOR_GRID32 = [
@@ -821,10 +836,9 @@ class TestKernelEvaluate:
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 7])
     def test_blocks_equal_one_row_at_a_time(self, dim):
-        # 7 rows of 30,011 entries: the blocks of the flat array cross the
-        # rows, and the last block is a partial one.
+        # Each entry goes through the same operations whatever the shape:
+        # 7 rows of 30,011 entries at once, flat, or one row at a time.
         inner = np.random.default_rng(35).uniform(-1.0, 1.0, (7, 30011))
-        assert inner.size % _BLOCK != 0
         kernel = KernelSpec.poisson(0.6, dim)
         rows = np.array([kernel._evaluate_owned(row.copy())
                          for row in inner])
